@@ -21,19 +21,21 @@ from .profiles import (
     DEFAULT_FIELD_RADIUS,
     AxiSymField,
     RadialProfile,
+    _embedded,
+    _field_edges,
+    _rearrange_corners,
+    _sample_corners,
     default_radial_grid,
     graded_field_grid,
-    embed_radial,
     lebesgue_measure,
     lp_distance,
     lp_norm,
 )
 from .operators import (
     ExtremizerSpec,
+    _inverted,
     extremizer_profile,
     functional_ratio,
-    rearrange,
-    s_symmetry,
 )
 
 __all__ = [
@@ -101,14 +103,18 @@ def competing_step(
 ) -> RadialProfile:
     """One iteration: embed, invert, rearrange back onto a radial grid.
 
-    The fields carry exact evaluator closures, so the rearrangement reads the
-    composition S(embed g) at cell corners; the stored cell values are plain
-    point samples and only feed diagnostics. Without out_radii the output
-    lands on g's own grid.
+    Equals rearrange(s_symmetry(embed_radial(g, rho_grid, s_grid), params))
+    but builds no field: the rearrangement reads only the cell corners, so
+    the composition S(embed g) is sampled there and nowhere else, and the
+    corner samples go straight to the rearrangement core. The output tail
+    exponent is k+1, as for s_symmetry. Without out_radii the output lands
+    on g's own grid.
     """
-    f_field = embed_radial(g, rho_grid, s_grid)
-    sf_field = s_symmetry(f_field, params)
-    return rearrange(sf_field, out_radii=g.radii if out_radii is None else out_radii)
+    m = params.k + 1
+    re, se = _field_edges(rho_grid, s_grid)
+    corners = _sample_corners(_inverted(_embedded(g), m), re, se)
+    out = g.radii if out_radii is None else np.asarray(out_radii, dtype=float)
+    return _rearrange_corners(g.d, re, se, corners, float(m), out)
 
 
 def competing_iterate(

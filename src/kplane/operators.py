@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special as sf
@@ -91,7 +92,8 @@ def extremizer_profile(spec: ExtremizerSpec, radii: np.ndarray | None = None) ->
 # values, so T is a matrix in those values; each entry is a GL6 integral in s
 # (the integrand is analytic there, including at s = 0). Matrices are cached
 # per (k, grid); the gamma-dependent tail beyond the last node is a separate
-# closed-form incomplete-Beta column added per call.
+# closed-form incomplete-Beta column added per call. The key holds the grid's
+# bytes themselves, so two grids that differ anywhere never share a matrix.
 
 _T_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _T_CACHE_MAX = 4
@@ -118,7 +120,7 @@ def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
 
 
 def _t_matrix(k: int, f: RadialProfile) -> np.ndarray:
-    key = (k, len(f.radii), float(f.radii[0]), float(f.radii[-1]), hash(f.radii.tobytes()))
+    key = (k, f.radii.tobytes())
     hit = _T_CACHE.get(key)
     if hit is not None:
         _T_CACHE.move_to_end(key)
@@ -220,12 +222,6 @@ def s_symmetry(g: AxiSymField, params: TransformParams) -> AxiSymField:
     stay finite, and the returned field carries a warning string.
     """
     m = params.k + 1
-    base = g.point_value
-
-    def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
-        a = np.abs(s_q)
-        return a ** (-m) * np.asarray(base(rho_q / a, 1.0 / s_q), dtype=float)
-
     warning = None
     if g.tail_exponent < m:
         warning = (
@@ -233,8 +229,21 @@ def s_symmetry(g: AxiSymField, params: TransformParams) -> AxiSymField:
             "inversion image is unbounded near the origin"
         )
     return field_from_function(
-        ev, g.d, g.rho, g.s, float(m), cell_power=g.cell_power, warning=warning
+        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m),
+        cell_power=g.cell_power, warning=warning,
     )
+
+
+def _inverted(
+    base: Callable[[np.ndarray, np.ndarray], np.ndarray], m: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The pointwise rule (rho, s) -> |s|^-m base(rho/|s|, 1/s) of s_symmetry."""
+
+    def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
+        a = np.abs(s_q)
+        return a ** (-m) * np.asarray(base(rho_q / a, 1.0 / s_q), dtype=float)
+
+    return ev
 
 
 def rearrange(g: AxiSymField, out_radii: np.ndarray | None = None) -> RadialProfile:
@@ -244,7 +253,8 @@ def rearrange(g: AxiSymField, out_radii: np.ndarray | None = None) -> RadialProf
     measure on R^d: super-level-set measures are inverted through ball
     volumes down to the largest value on the grid boundary ring; below that
     level super-level sets leave the box, so the output follows g's declared
-    power tail anchored at the cut radius.
+    power tail anchored at the cut radius. Only g's corner values are read
+    (exact evaluator samples when g has an evaluator); its cell values are not.
     """
     if out_radii is None:
         out_radii = default_radial_grid()

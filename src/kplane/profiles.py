@@ -145,8 +145,9 @@ class RadialProfile:
     def evaluate(self, r):
         """Profile value at radius r (scalar or array), head and tail included."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
-            raise ValueError("radius must be nonnegative")
+        # one pass that also rejects NaN, for which every comparison is False
+        if not np.all(r >= 0):
+            raise ValueError("radius must be nonnegative and not NaN")
         out = np.interp(
             np.log(np.maximum(r, self.radii[0])), self.log_radii, self.values
         )
@@ -363,6 +364,36 @@ def graded_field_grid(
     return rho, np.concatenate([-s_half[::-1], s_half])
 
 
+def _check_field_grid(rho: np.ndarray, s: np.ndarray) -> None:
+    """Reject a (rho, s) node grid that no field may live on."""
+    if rho.ndim != 1 or s.ndim != 1:
+        raise ValueError("rho and s nodes must be 1-d arrays")
+    if not (np.all(rho > 0) and np.all(np.diff(rho) > 0)):
+        raise ValueError("rho nodes must be positive and strictly increasing")
+    if not np.all(np.diff(s) > 0):
+        raise ValueError("s nodes must be strictly increasing")
+    if np.any(s == 0):
+        raise ValueError("no s node may sit at 0")
+    if np.max(np.abs(s + s[::-1])) > 1e-9 * np.max(np.abs(s)):
+        raise ValueError("s nodes must be symmetric about 0")
+
+
+def _cell_edges(x: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+    """Cell boundaries of a cell-centered node row: midpoints plus half cells at the ends."""
+    mid = 0.5 * (x[:-1] + x[1:])
+    lead = max(x[0] - (x[1] - x[0]) / 2.0, floor)
+    trail = x[-1] + (x[-1] - x[-2]) / 2.0
+    return np.concatenate([[lead], mid, [trail]])
+
+
+def _field_edges(rho, s) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_edges, s_edges) of a checked field grid, as AxiSymField reads them."""
+    rho = np.ascontiguousarray(rho, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
+    _check_field_grid(rho, s)
+    return _cell_edges(rho, 0.0), _cell_edges(s)
+
+
 @dataclass(frozen=True, eq=False)
 class AxiSymField:
     """Axisymmetric function on R^d sampled on a cell-centered (rho, s) grid.
@@ -393,16 +424,9 @@ class AxiSymField:
         object.__setattr__(self, "values", values)
         if self.d < 2:
             raise ValueError("fields need ambient dimension d >= 2")
-        if rho.ndim != 1 or s.ndim != 1 or values.shape != (len(rho), len(s)):
+        _check_field_grid(rho, s)
+        if values.shape != (len(rho), len(s)):
             raise ValueError("values must have shape (len(rho), len(s))")
-        if not (np.all(rho > 0) and np.all(np.diff(rho) > 0)):
-            raise ValueError("rho nodes must be positive and strictly increasing")
-        if not np.all(np.diff(s) > 0):
-            raise ValueError("s nodes must be strictly increasing")
-        if np.any(s == 0):
-            raise ValueError("no s node may sit at 0")
-        if np.max(np.abs(s + s[::-1])) > 1e-9 * np.max(np.abs(s)):
-            raise ValueError("s nodes must be symmetric about 0")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("field values must be finite and nonnegative")
         if not (self.tail_exponent > 0 and math.isfinite(self.tail_exponent)):
@@ -412,17 +436,11 @@ class AxiSymField:
 
     @property
     def rho_edges(self) -> np.ndarray:
-        mid = 0.5 * (self.rho[:-1] + self.rho[1:])
-        lead = max(self.rho[0] - (self.rho[1] - self.rho[0]) / 2.0, 0.0)
-        trail = self.rho[-1] + (self.rho[-1] - self.rho[-2]) / 2.0
-        return np.concatenate([[lead], mid, [trail]])
+        return _cell_edges(self.rho, 0.0)
 
     @property
     def s_edges(self) -> np.ndarray:
-        mid = 0.5 * (self.s[:-1] + self.s[1:])
-        lead = self.s[0] - (self.s[1] - self.s[0]) / 2.0
-        trail = self.s[-1] + (self.s[-1] - self.s[-2]) / 2.0
-        return np.concatenate([[lead], mid, [trail]])
+        return _cell_edges(self.s)
 
     def cell_measures(self) -> np.ndarray:
         """Lebesgue measure of each cell: |S^{d-2}| int rho^{d-2} drho ds."""
@@ -570,13 +588,18 @@ def embed_radial(
     cell_power: float | None = None,
 ) -> AxiSymField:
     """Read a radial profile as the axisymmetric field f(sqrt(rho^2 + s^2))."""
+    return field_from_function(
+        _embedded(f), f.d, rho_grid, s_grid, f.tail_exponent, cell_power=cell_power
+    )
+
+
+def _embedded(f: RadialProfile) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The pointwise rule (rho, s) -> f(sqrt(rho^2 + s^2)) of embed_radial."""
 
     def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
         return np.asarray(f.evaluate(np.hypot(rho_q, s_q)), dtype=float)
 
-    return field_from_function(
-        ev, f.d, rho_grid, s_grid, f.tail_exponent, cell_power=cell_power
-    )
+    return ev
 
 
 def _field_staircase(field: AxiSymField):
@@ -607,26 +630,32 @@ def _field_distribution(field: AxiSymField, t) -> np.ndarray:
     return out if np.ndim(t) else float(out[0])
 
 
+def _sample_corners(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], re: np.ndarray, se: np.ndarray
+) -> np.ndarray:
+    """fn sampled at the cell corners, the re x se edge grid.
+
+    The s = 0 edge is nudged slightly off the axis: the inversion closure is
+    singular there and the fields of interest are even in s.
+    """
+    ss = se.copy()
+    on_axis = np.abs(ss) < 1e-9 * ss[-1]
+    if np.any(on_axis):
+        ss[on_axis] = 1e-6 * np.min(np.diff(se))
+    rr_g, ss_g = np.meshgrid(re, ss, indexing="ij")
+    return np.asarray(fn(rr_g, ss_g), dtype=float)
+
+
 def _corner_values(field: AxiSymField) -> np.ndarray:
     """Field values at the cell corners (rho_edges x s_edges grid).
 
-    With an evaluator the corners are sampled exactly, nudging the s = 0 edge
-    slightly off the axis (the inversion closure is singular there and the
-    fields of interest are even in s). Without one, adjacent cell values are
-    averaged, which smooths steps by one cell.
+    With an evaluator the corners are sampled exactly. Without one, adjacent
+    cell values are averaged, which smooths steps by one cell.
     """
-    re, se = field.rho_edges, field.s_edges
     if field.evaluator is not None:
-        ss = se.copy()
-        on_axis = np.abs(ss) < 1e-9 * ss[-1]
-        if np.any(on_axis):
-            ss[on_axis] = 1e-6 * np.min(np.diff(se))
-        rr_g, ss_g = np.meshgrid(re, ss, indexing="ij")
-        corners = np.asarray(field.evaluator(rr_g, ss_g), dtype=float)
-    else:
-        pad = np.pad(field.values, 1, mode="edge")
-        corners = 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
-    return np.clip(corners, 0.0, None)
+        return _sample_corners(field.evaluator, field.rho_edges, field.s_edges)
+    pad = np.pad(field.values, 1, mode="edge")
+    return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
 
 
 def _tri_rho_mean(r1, r2, r3, m: int):
@@ -639,25 +668,45 @@ def _tri_rho_mean(r1, r2, r3, m: int):
     ) / 3.0
 
 
+def _sort3(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Elementwise (min, median, max) of three arrays."""
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    return np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
+
+
 _N_LEVEL_EDGES = 131073
+_BLOCK_CELLS = 1 << 15
 
 
 def _field_level_table(
-    field: AxiSymField, corners: np.ndarray
+    d: int, re: np.ndarray, se: np.ndarray, corners: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Super-level-set measures of the corner-interpolated field.
+    """Super-level-set measures of the corner-interpolated field in R^d.
 
-    Splits every cell into two triangles, reads the field as linear on each,
-    and accumulates the piecewise-quadratic coverage functions through their
-    curvature jumps on a log-spaced level grid (each triangle's measure is
-    spread over its value range instead of being quantized at one value,
-    which kills the lattice sawtooth of the sorted-cell staircase). Returns
-    (levels, measures) with levels increasing and measures nonincreasing;
-    measures[i] is the Lebesgue measure of {f > levels[i]} inside the box.
+    Splits every cell of the re x se edge grid into two triangles, reads the
+    field as linear on each from its corner values, and accumulates the
+    piecewise-quadratic coverage functions through their curvature jumps on a
+    log-spaced level grid (each triangle's measure is spread over its value
+    range instead of being quantized at one value, which kills the lattice
+    sawtooth of the sorted-cell staircase).
+
+    A triangle of measure m with distinct vertex values v_1, v_2, v_3 covers
+    {f > t} with a quadratic spline in t whose second derivative jumps at v_i
+    by the divided difference -2 m / prod_{j != i} (v_i - v_j) (the
+    Curry-Schoenberg B-spline on the knots v_i). The jumps are symmetric in
+    the vertices, so those of the regular triangles are summed onto the
+    corners and binned once per corner. Triangles whose value range the level
+    grid does not resolve (flat), or whose middle value ties an end, are
+    sorted and binned one by one. Every corner's bin position is taken once.
+
+    Corner values must be finite and nonnegative. Returns (levels, measures)
+    with levels increasing and measures nonincreasing; measures[i] is the
+    Lebesgue measure of {f > levels[i]} inside the box.
     """
-    d = field.d
-    re, se = field.rho_edges, field.s_edges
     vmax = float(corners.max())
+    if not (math.isfinite(vmax) and np.all(corners >= 0.0)):
+        raise ValueError("field values must be finite and nonnegative")
     if vmax <= 0.0:
         levels = np.array([0.0, 1.0])
         return levels, np.zeros(2)
@@ -666,22 +715,6 @@ def _field_level_table(
     # spreads whose 1/s^2 curvature overflows; clamp them to exact zero
     corners = np.where(corners > vmax * 1e-100, corners, 0.0)
 
-    v00 = corners[:-1, :-1]
-    v10 = corners[1:, :-1]
-    v01 = corners[:-1, 1:]
-    v11 = corners[1:, 1:]
-    area = 0.5 * np.diff(re)[:, None] * np.diff(se)[None, :]
-    r_lo = re[:-1]
-    r_hi = re[1:]
-    prefactor = sphere_area(d - 1)
-    # triangle 1: (lo, lo), (hi, lo), (hi, hi); triangle 2: (lo, lo), (lo, hi), (hi, hi)
-    mu1 = (prefactor * area * _tri_rho_mean(r_lo, r_hi, r_hi, d - 2)[:, None]).ravel()
-    mu2 = (prefactor * area * _tri_rho_mean(r_lo, r_lo, r_hi, d - 2)[:, None]).ravel()
-    tri_vals = [
-        (v00.ravel(), v10.ravel(), v11.ravel()),
-        (v00.ravel(), v01.ravel(), v11.ravel()),
-    ]
-
     boundary = np.concatenate([corners[-1, :], corners[:, 0], corners[:, -1]])
     v_cut = float(boundary.max())
     lo = vmax * 1e-14 if v_cut <= 0 else max(vmax * 1e-14, v_cut * 1e-2)
@@ -689,58 +722,114 @@ def _field_level_table(
     edges = np.geomspace(lo, vmax * (1.0 + 1e-12), n_edges)
     log_lo = math.log(edges[0])
     log_step = math.log(edges[-1] / edges[0]) / (n_edges - 1)
+    # fractional level-grid position of every corner, computed in place: a
+    # fresh corner-sized temporary costs more in page faults than its arithmetic
+    pos = np.clip(corners, edges[0], edges[-1])
+    np.log(pos, out=pos)
+    pos -= log_lo
+    pos /= log_step
+    np.clip(pos, 0.0, n_edges - 1.0, out=pos)
 
-    curv = np.zeros(n_edges)
-    slope = np.zeros(n_edges)
-    steps = np.zeros(n_edges)
+    # triangle measures are (row factor) x (column factor)
+    prefactor = sphere_area(d - 1)
+    half_drho = 0.5 * np.diff(re)
+    ds = np.diff(se)
+    row1 = prefactor * half_drho * _tri_rho_mean(re[:-1], re[1:], re[1:], d - 2)
+    row2 = prefactor * half_drho * _tri_rho_mean(re[:-1], re[:-1], re[1:], d - 2)
+    # triangle 1: (lo, lo), (hi, lo), (hi, hi); triangle 2: (lo, lo), (lo, hi), (hi, hi)
+    first = (slice(None, -1), slice(None, -1))
+    last = (slice(1, None), slice(1, None))
+    families = (
+        ((slice(1, None), slice(None, -1)), row1),
+        ((slice(None, -1), slice(1, None)), row2),
+    )
+    jumps = np.zeros_like(corners)
+    # level positions and weights of the flat triangles' steps and of the tie
+    # triangles' curvature and slope jumps
+    steps_at: list[np.ndarray] = []
+    steps_w: list[np.ndarray] = []
+    curv_at: list[np.ndarray] = []
+    curv_w: list[np.ndarray] = []
+    slope_at: list[np.ndarray] = []
+    slope_w: list[np.ndarray] = []
+    # blocks of cell rows keep the per-triangle temporaries in cache
+    n_rows = corners.shape[0] - 1
+    block = max(1, _BLOCK_CELLS // (corners.shape[1] - 1))
+    for r0 in range(0, n_rows, block):
+        r1 = min(r0 + block, n_rows)
+        cb, pb, jb = corners[r0 : r1 + 1], pos[r0 : r1 + 1], jumps[r0 : r1 + 1]
+        for middle, row_mu in families:
+            x, y, z = cb[first], cb[middle], cb[last]
+            mu = row_mu[r0:r1, None] * ds[None, :]
+            d_xy, d_yz, d_zx = x - y, y - z, z - x
+            c = np.maximum(np.maximum(x, y), z)
+            # a triangle below the level floor never reaches a tabulated level
+            live = c > lo
+            # the two smaller vertex gaps are b - a and c - b; when one of
+            # them is unresolved by the level grid the triangle is a tie or,
+            # with both, flat (see the sorted path below)
+            gap = np.minimum(np.minimum(np.abs(d_xy), np.abs(d_yz)), np.abs(d_zx))
+            regular = live & (gap > 4.0 * log_step * c)
 
-    def deposit(target: np.ndarray, values: np.ndarray, weights: np.ndarray) -> None:
-        v_cl = np.clip(values, edges[0], edges[-1])
-        fi = np.clip((np.log(v_cl) - log_lo) / log_step, 0.0, n_edges - 1.0)
-        i0 = np.minimum(fi.astype(np.intp), n_edges - 2)
-        frac = fi - i0
-        target += np.bincount(i0, weights=weights * (1.0 - frac), minlength=n_edges)
-        target += np.bincount(i0 + 1, weights=weights * frac, minlength=n_edges)
+            odd = live & ~regular
+            if np.any(odd):
+                # triangles whose value range is unresolved by the level grid
+                # act as steps; a middle value tied to either end collapses
+                # one quadratic piece, leaving a slope discontinuity the
+                # curvature sweep must carry explicitly (the two-sided form
+                # would pair enormous curvature jumps closer together than a
+                # bin, and binning breaks their cancellation)
+                a, b, c_o = _sort3(x[odd], y[odd], z[odd])
+                p_lo, p_mid, p_hi = _sort3(pb[first][odd], pb[middle][odd], pb[last][odd])
+                m_o = mu[odd]
+                spread = c_o - a
+                flat = spread <= 8.0 * log_step * c_o
+                steps_at.append(p_mid[flat])
+                steps_w.append(m_o[flat])
+                # with k = 2 mu / s^2 for a tie at the low end (b ~ a) and
+                # -2 mu / s^2 at the high end (b ~ c), a tie carries the
+                # curvature jumps +k at a and -k at c and the slope jump -k s
+                # at its tied end
+                tie = ~flat
+                low = (b - a <= c_o - b)[tie]
+                s_t = spread[tie]
+                k_t = np.where(low, 2.0, -2.0) * m_o[tie] / s_t**2
+                lo_t, hi_t = p_lo[tie], p_hi[tie]
+                curv_at.extend((lo_t, hi_t))
+                curv_w.extend((k_t, -k_t))
+                slope_at.append(np.where(low, lo_t, hi_t))
+                slope_w.append(-k_t * s_t)
 
-    for (x, y, z), mu in zip(tri_vals, (mu1, mu2)):
-        a = np.minimum(np.minimum(x, y), z)
-        c = np.maximum(np.maximum(x, y), z)
-        b = x + y + z - a - c
-        keep = (c > 0) & (mu > 0)
-        a, b, c, mu_t = a[keep], b[keep], c[keep], mu[keep]
-        spread = c - a
-        # triangles whose value range is unresolved by the level grid act as
-        # steps; a middle value tied to either end collapses one quadratic
-        # piece, leaving a slope discontinuity the curvature sweep must carry
-        # explicitly (the two-sided form would pair enormous curvature jumps
-        # closer together than a bin, and binning breaks their cancellation)
-        flat = spread <= 8.0 * log_step * c
-        low_tie = ~flat & (b - a <= 4.0 * log_step * c)
-        high_tie = ~flat & ~low_tie & (c - b <= 4.0 * log_step * c)
-        regular = ~(flat | low_tie | high_tie)
-        if np.any(flat):
-            deposit(steps, b[flat], mu_t[flat])
-        for tie, at_low in ((low_tie, True), (high_tie, False)):
-            if not np.any(tie):
-                continue
-            a_t, c_t, s_t, m_t = a[tie], c[tie], spread[tie], mu_t[tie]
-            k_t = 2.0 * m_t / s_t**2
-            if at_low:
-                deposit(curv, a_t, k_t)
-                deposit(curv, c_t, -k_t)
-                deposit(slope, a_t, -2.0 * m_t / s_t)
-            else:
-                deposit(curv, a_t, -k_t)
-                deposit(curv, c_t, k_t)
-                deposit(slope, c_t, 2.0 * m_t / s_t)
-        if np.any(regular):
-            a_r, b_r, c_r = a[regular], b[regular], c[regular]
-            s_r, m_r = spread[regular], mu_t[regular]
-            k_low = 2.0 * m_r / ((b_r - a_r) * s_r)
-            k_high = 2.0 * m_r / ((c_r - b_r) * s_r)
-            deposit(curv, a_r, -k_low)
-            deposit(curv, b_r, k_low + k_high)
-            deposit(curv, c_r, -k_high)
+            # jump -2 mu / prod_{j != i} (v_i - v_j) at each vertex of a
+            # regular triangle; the infinite differences zero the others
+            d_xy = np.where(regular, d_xy, np.inf)
+            d_yz = np.where(regular, d_yz, np.inf)
+            d_zx = np.where(regular, d_zx, np.inf)
+            two_mu = 2.0 * mu
+            jb[first] += two_mu / (d_xy * d_zx)
+            jb[middle] += two_mu / (d_xy * d_yz)
+            jb[last] += two_mu / (d_zx * d_yz)
+
+    def binned(at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # each weight is shared linearly between the two bins around its
+        # level position; both arrays are overwritten in place
+        i0 = at.astype(np.intp)
+        np.minimum(i0, n_edges - 2, out=i0)
+        at -= i0
+        at *= weights
+        weights -= at
+        out = np.bincount(i0, weights=weights, minlength=n_edges)
+        out[1:] += np.bincount(i0, weights=at, minlength=n_edges)[:-1]
+        return out
+
+    def binned_parts(at: list[np.ndarray], weights: list[np.ndarray]) -> np.ndarray:
+        if not at:
+            return np.zeros(n_edges)
+        return binned(np.concatenate(at), np.concatenate(weights))
+
+    curv = binned(pos.ravel(), jumps.ravel()) + binned_parts(curv_at, curv_w)
+    slope = binned_parts(slope_at, slope_w)
+    steps = binned_parts(steps_at, steps_w)
 
     # integrate downward from the top so the float residue of each triangle's
     # cancelling curvature jumps drifts into the levels below it (which the
@@ -759,19 +848,25 @@ def _field_level_table(
     return edges, measures
 
 
-def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProfile:
-    """Symmetric decreasing rearrangement of a field onto a radial grid.
+def _rearrange_corners(
+    d: int,
+    re: np.ndarray,
+    se: np.ndarray,
+    corners: np.ndarray,
+    tail_exponent: float,
+    out_radii: np.ndarray,
+) -> RadialProfile:
+    """Symmetric decreasing rearrangement of a field read from its corner values.
 
-    Inverts the corner-triangulated level table (ball volume -> value) inside
-    the level of the largest boundary-ring value. Below that level the
-    super-level sets spill out of the box, so the output follows the field's
-    declared power tail anchored at the cut radius.
+    corners holds the field on the re x se edge grid. Inverts the
+    corner-triangulated level table (ball volume -> value) inside the level
+    of the largest boundary-ring value. Below that level the super-level
+    sets spill out of the box, so the output follows the field's declared
+    power tail anchored at the cut radius.
     """
-    d = field.d
-    corners = _corner_values(field)
-    levels, measures = _field_level_table(field, corners)
+    levels, measures = _field_level_table(d, re, se, corners)
     if measures[0] <= 0.0:
-        return RadialProfile(d, out_radii, np.zeros_like(out_radii), field.tail_exponent)
+        return RadialProfile(d, out_radii, np.zeros_like(out_radii), tail_exponent)
     v_cut = float(
         max(corners[-1, :].max(), corners[:, 0].max(), corners[:, -1].max())
     )
@@ -783,9 +878,17 @@ def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProf
     omega = sphere_area(d) / d * out_radii**d
     inside = np.interp(omega, measures[::-1], levels[::-1])
     with np.errstate(divide="ignore"):
-        tail_vals = v_cut * (r_cut / out_radii) ** field.tail_exponent
+        tail_vals = v_cut * (r_cut / out_radii) ** tail_exponent
     out_vals = np.where(out_radii <= r_cut, inside, tail_vals)
-    return RadialProfile(d, out_radii, out_vals, field.tail_exponent)
+    return RadialProfile(d, out_radii, out_vals, tail_exponent)
+
+
+def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProfile:
+    """Symmetric decreasing rearrangement of a field onto a radial grid."""
+    return _rearrange_corners(
+        field.d, field.rho_edges, field.s_edges, _corner_values(field),
+        field.tail_exponent, out_radii,
+    )
 
 
 def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None:

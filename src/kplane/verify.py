@@ -35,7 +35,7 @@ from .profiles import (
     step_profile,
 )
 from .operators import ExtremizerSpec, extremizer_profile, rearrange, s_symmetry
-from .flow import competing_iterate
+from .flow import _half_max_radius, competing_iterate
 from .pointfields import CauchyPowerField
 from .mc import (
     drury_norm_mc,
@@ -202,20 +202,11 @@ def rearrange_suite(seed: int = 0) -> list[CheckResult]:
 
             field = field_from_function(fn, dd, rg, sg, tail_exponent=float(dd + 2))
             st = rearrange(field, out_radii=out)
-            r_hat = _half_level_radius(st)
+            r_hat = _half_max_radius(st)
             r_law = c ** (-(dd - 2) / (2.0 * dd))
             dev = max(dev, abs(r_hat / r_law - 1.0))
     results.append(_result("rearrange-ellipsoid-law", dev, 1e-2))
     return results
-
-
-def _half_level_radius(f: RadialProfile) -> float:
-    """Log-interpolated radius where the profile crosses half its maximum."""
-    half = 0.5 * float(f.values.max())
-    j = int(np.nonzero(f.values < half)[0][0])
-    u0, u1 = f.log_radii[j - 1], f.log_radii[j]
-    v0, v1 = f.values[j - 1], f.values[j]
-    return float(math.exp(u0 + (u1 - u0) * (half - v0) / (v1 - v0)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,14 @@ def test_verify_symmetry_json(capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
+def test_suite_choices_match_verify():
+    # the CLI keeps its own copy so that it can import verify lazily
+    from kplane.cli import _SUITE_CHOICES
+    from kplane.verify import SUITE_NAMES
+
+    assert _SUITE_CHOICES == SUITE_NAMES
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "nosuch"])

@@ -7,15 +7,19 @@ from kplane import (
     TransformParams,
     best_constant,
     competing_iterate,
+    competing_step,
     ellipsoid_levelset_check,
     embed_radial,
     graded_field_grid,
     indicator_profile,
     lebesgue_measure,
     lp_norm,
+    rearrange,
     s_symmetry,
+    step_profile,
     vs_squared_dilation_fit,
 )
+from kplane.flow import _half_max_radius
 from kplane.operators import ExtremizerSpec, extremizer_profile
 from kplane.profiles import RadialProfile, default_radial_grid
 
@@ -25,6 +29,34 @@ PR13 = TransformParams(1, 3)
 def normalized_indicator(pr):
     f = indicator_profile(pr.d)
     return f.scaled(1.0 / lp_norm(f, pr.pf, lebesgue_measure(pr.d)))
+
+
+@pytest.mark.parametrize("start", ("indicator", "step", "h"))
+def test_competing_step_matches_composed_operators(start):
+    # the step samples S(embed g) at the cell corners only, without building
+    # the fields, and must give what the public operators give
+    f = {
+        "indicator": normalized_indicator(PR13),
+        "step": step_profile(3, [0.5, 1.5, 3.0], [2.0, 1.0, 0.25]),
+        "h": extremizer_profile(ExtremizerSpec(PR13)),
+    }[start]
+    rho, s = graded_field_grid(60.0, 256, 256)
+    out = default_radial_grid(1024)
+    got = competing_step(f, PR13, rho, s, out_radii=out)
+    ref = rearrange(s_symmetry(embed_radial(f, rho, s), PR13), out_radii=out)
+    assert got.tail_exponent == ref.tail_exponent
+    assert np.array_equal(got.radii, ref.radii)
+    assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * np.max(ref.values)
+
+
+def test_half_max_radius_edge_cases():
+    # never drops below half inside the grid: the tail crosses half at
+    # r_N (2 v_N / peak)^(1/gamma)
+    f = RadialProfile(3, np.array([1.0, 2.0]), np.array([1.0, 0.8]), 2.0)
+    assert _half_max_radius(f) == pytest.approx(2.0 * 1.6**0.5, rel=1e-14)
+    # below half at the first node (a ring): the first node itself
+    ring = RadialProfile(3, np.array([1.0, 2.0, 3.0]), np.array([0.2, 1.0, 0.1]), 2.0)
+    assert _half_max_radius(ring) == 1.0
 
 
 def test_extremizer_is_fixed_point():

@@ -127,6 +127,23 @@ def test_t_transform_matrix_and_direct_paths_agree():
     assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
 
 
+def test_t_matrix_cache_tells_grids_with_equal_ends_apart():
+    # same length and endpoints, different interior nodes: each grid must get
+    # its own cached matrix, so the matrix path matches the direct path on both
+    from kplane.operators import _t_matrix
+
+    pr = TransformParams(1, 3)
+    r1 = default_radial_grid(64)
+    r2 = r1.copy()
+    r2[1:-1] *= 1.01
+    f1, f2 = smooth_profile(3, radii=r1), smooth_profile(3, radii=r2)
+    assert not np.array_equal(_t_matrix(1, f1), _t_matrix(1, f2))
+    for f in (f1, f2):
+        a = t_transform(f, pr).values
+        b = t_transform(f, pr, out_radii=f.radii).values
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
+
+
 def test_t_transform_divergence_and_zero():
     pr = TransformParams(2, 3)
     f = smooth_profile(3, tail=1.5)  # tail 1.5 <= k = 2

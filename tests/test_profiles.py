@@ -109,6 +109,11 @@ def test_profile_evaluate_head_interior_tail():
     assert abs(f.evaluate(8.0) - 1.0 * (4.0 / 8.0) ** 3) < 1e-15
     with pytest.raises(ValueError):
         f.evaluate(-1.0)
+    # NaN fails every comparison, so a plain `r < 0` check lets it through
+    with pytest.raises(ValueError):
+        f.evaluate(math.nan)
+    with pytest.raises(ValueError):
+        f.evaluate(np.array([1.0, math.nan, 2.0]))
 
 
 def test_profile_scaled_dilated_with_values():
@@ -418,3 +423,102 @@ def test_field_validation():
         AxiSymField(3, rho, np.array([-0.7, 0.5]), vals, 3.0)
     with pytest.raises(ValueError):
         AxiSymField(3, rho, s, -vals, 3.0)
+
+
+# (rho edges, s edges, triangle classes present, level shift in bins) for the
+# level-table test below
+_LEVEL_TABLE_GRIDS = {
+    "regular": (
+        np.array([0.0, 0.2, 0.45, 0.7, 1.0]),
+        np.array([-1.0, -0.5, 0.0, 0.6, 1.0]),
+        {"regular"},
+        1,
+    ),
+    "ties": (np.linspace(0.0, 0.01, 201), np.linspace(-1.0, 1.0, 21), {"low tie", "high tie"}, 9),
+    "flat": (np.linspace(0.0, 0.01, 101), np.linspace(-0.01, 0.01, 201), {"flat"}, 9),
+    "mixed": (
+        np.concatenate([[0.0, 0.2, 0.2 + 1e-6], 0.45 + 5e-5 * np.arange(6), [0.7, 1.0]]),
+        np.concatenate([[-1.0, -0.5, -0.5 + 1e-6], 5e-5 * np.arange(6), [0.6, 1.0]]),
+        {"regular", "low tie", "high tie", "flat"},
+        9,
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", list(_LEVEL_TABLE_GRIDS))
+def test_level_table_linear_field_every_triangle_class(grid):
+    """The level table of a linear field against its closed-form coverage.
+
+    On R^2 (d = 2) the field f = 1 + rho - g s (g = 0.37) is exactly linear
+    on every triangle of a box [0, P] x [-S, S], so the only errors are the
+    table's own, all set by the log bin width L:
+    - every jump sits within one bin of its level, a tie moves its middle
+      value onto the tied end (at most 4 bins of its top value) and a flat
+      triangle is a step at its middle value (spread at most 8 bins); so
+      the table at level t lies between the exact coverages at t e^{nL} and
+      t e^{-nL}, with n = 1 when all triangles are regular and 9 otherwise;
+    - sharing a jump at level v linearly between two geometric bin edges
+      moves its first and second moments by up to v L^2 / 8 and v^2 L^2 / 2,
+      so a curvature jump k errs by up to |k| v^2 L^2 / 4 below it and a
+      slope jump sigma by up to |sigma| v L^2 / 8; the tolerance sums these
+      over all triangles, plus 1e-12 of the box measure for rounding.
+
+    Cells 1e-6 to 1e-4 wide have vertex gaps below the 4 L c tie threshold.
+    The pure grids hold one class each, so a class's error is not hidden in
+    the coverage slope of the others; the mixed grid holds all four. With
+    the s-slope negative the lowest and highest corner of a cell are off
+    the diagonal its two triangles share, so their ties do not cancel in
+    pairs.
+    """
+    from kplane.profiles import _field_level_table
+
+    re, se, expected, shift_bins = _LEVEL_TABLE_GRIDS[grid]
+    g = 0.37
+    big_p, big_s = re[-1], se[-1]
+    rr, ss = np.meshgrid(re, se, indexing="ij")
+    corners = 1.0 + rr - g * ss
+    levels, measures = _field_level_table(2, re, se, corners)
+    log_step = math.log(levels[1] / levels[0])
+
+    def coverage(t):
+        # |S^0| = 2 times the area of {s < (1 + rho - t) / g} in the box: the
+        # s-extent u0 + rho / g clipped to [0, 2S], integrated over rho
+        def ramp(u):
+            w = 2.0 * big_s
+            return np.where(u < 0, 0.0, np.where(u <= w, u**2 / 2.0, w**2 / 2.0 + w * (u - w)))
+
+        u0 = (1.0 - t) / g + big_s
+        return 2.0 * g * (ramp(u0 + big_p / g) - ramp(u0))
+
+    # the triangle classes with the table's own thresholds, and the sharing
+    # error sum: |k| v^2 over the regular triangles' three jumps
+    # 2 m / prod_{j != i} |v_i - v_j|, and over a tie's jumps 2 m / s^2 at a
+    # and c and its slope jump 2 m / s at the tied end, s = c - a
+    m = np.diff(re)[:, None] * np.diff(se)[None, :]  # |S^0| x triangle area
+    x, z = corners[:-1, :-1], corners[1:, 1:]
+    classes = {"regular": 0, "low tie": 0, "high tie": 0, "flat": 0}
+    sharing = 0.0
+    for y in (corners[1:, :-1], corners[:-1, 1:]):
+        a, b, c = np.sort(np.stack([x, y, z]), axis=0)
+        spread = c - a
+        flat = spread <= 8.0 * log_step * c
+        low = ~flat & (b - a <= 4.0 * log_step * c)
+        high = ~flat & ~low & (c - b <= 4.0 * log_step * c)
+        regular = ~flat & ~low & ~high
+        classes["flat"] += int(flat.sum())
+        classes["low tie"] += int(low.sum())
+        classes["high tie"] += int(high.sum())
+        classes["regular"] += int(regular.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_v2 = 2.0 * m * (
+                a**2 / ((b - a) * spread) + b**2 / ((b - a) * (c - b)) + c**2 / (spread * (c - b))
+            )
+            tie_v2 = 2.0 * m * (a**2 + c**2) / spread**2 + m * c / spread
+        sharing += float(np.sum(k_v2[regular]) + np.sum(tie_v2[low | high]))
+    assert {name for name, n in classes.items() if n > 0} == expected, classes
+
+    shift = math.exp(shift_bins * log_step)
+    slack = sharing * log_step**2 / 4.0 + 1e-12 * measures[0]
+    assert abs(measures[0] - coverage(levels[0])) <= slack
+    assert np.all(measures <= coverage(levels / shift) + slack)
+    assert np.all(measures >= coverage(levels * shift) - slack)
