@@ -229,8 +229,7 @@ def s_symmetry(g: AxiSymField, params: TransformParams) -> AxiSymField:
             "inversion image is unbounded near the origin"
         )
     return field_from_function(
-        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m),
-        cell_power=g.cell_power, warning=warning,
+        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m), warning=warning
     )
 
 

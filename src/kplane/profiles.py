@@ -12,8 +12,10 @@ with paired nodes separated by a relative gap of 1e-12.
 
 Axisymmetric fields live on a (rho, |x'| , s = x_d) half-plane grid, cell
 centered, with an optional exact evaluator and a declared power tail used to
-extend the field radially outside the grid box; norms and level-set measures
-include that exterior contribution by angular quadrature.
+extend the field radially outside the grid box. A field is read two ways: its
+L^p norm integrates the exact rule cell by cell (2x2 Gauss) plus the exterior
+tail by angular quadrature, and every distribution functional reads its
+symmetric decreasing rearrangement, so the profile functionals above apply.
 """
 
 from __future__ import annotations
@@ -265,8 +267,9 @@ def _profile_distribution(f: RadialProfile, t, measure: WeightedMeasure, chunk: 
     m = measure.weight_exponent
     pre = measure.prefactor
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValueError("distribution function is defined for t > 0")
+    # one pass that also rejects NaN, for which every comparison is False
+    if not np.all(t_arr > 0):
+        raise ValueError("distribution function is defined for t > 0, not NaN")
     u = f.log_radii
     v = f.values
     ua, ub = u[:-1], u[1:]
@@ -398,12 +401,12 @@ def _field_edges(rho, s) -> tuple[np.ndarray, np.ndarray]:
 class AxiSymField:
     """Axisymmetric function on R^d sampled on a cell-centered (rho, s) grid.
 
-    values[i, j] belongs to the cell around (rho[i], s[j]); rho = |x'| with
-    x' the first d-1 coordinates and s = x_d. Outside the grid box the field
-    is read as decaying like R^(-tail_exponent) along rays from the boundary.
+    values[i, j] is the point sample at (rho[i], s[j]); rho = |x'| with x'
+    the first d-1 coordinates and s = x_d. Outside the grid box the field is
+    read as decaying like R^(-tail_exponent) along rays from the boundary.
     evaluator, when present, is the exact pointwise rule (vectorized over
-    numpy arrays) the values were sampled from; cell_power records the
-    exponent used for power-mean cell values (None means point samples).
+    numpy arrays) the values were sampled from; lp_norm integrates it, and
+    rearrange reads it at the cell corners.
     """
 
     d: int
@@ -412,7 +415,6 @@ class AxiSymField:
     values: np.ndarray
     tail_exponent: float
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    cell_power: float | None = None
     warning: str | None = None
 
     def __post_init__(self) -> None:
@@ -522,16 +524,6 @@ class AxiSymField:
         w, r_b, v_b = self._boundary_rays()
         return float(sphere_area(self.d - 1) * np.sum(w * v_b**p * r_b**self.d) / (g * p - self.d))
 
-    def exterior_levelset_measure(self, t: np.ndarray) -> np.ndarray:
-        """Lebesgue measure of {f >= t} outside the box, per the tail model."""
-        w, r_b, v_b = self._boundary_rays()
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.where(v_b[None, :] > 0, v_b[None, :] / t[:, None], 0.0)
-            r_t = r_b[None, :] * ratio ** (1.0 / self.tail_exponent)
-        shell = np.clip(r_t**self.d - r_b[None, :] ** self.d, 0.0, None)
-        return sphere_area(self.d - 1) / self.d * shell @ w
-
     def boundary_max(self) -> float:
         """Largest cell value on the outermost ring of the grid."""
         v = self.values
@@ -546,51 +538,19 @@ def field_from_function(
     rho: np.ndarray,
     s: np.ndarray,
     tail_exponent: float,
-    cell_power: float | None = None,
     warning: str | None = None,
 ) -> AxiSymField:
-    """Sample fn(rho, s) onto a field grid.
-
-    cell_power = p stores power-mean cell values, the (1/p)-th power of the
-    GL 2x2 cell average of fn^p against the rho^{d-2} weight. Cell sums of
-    value^p * cell_measure then reproduce the quadrature integral of fn^p
-    exactly, which is what the iteration needs for norm conservation.
-    With cell_power None the nodes are sampled pointwise.
-    """
-    rho = np.ascontiguousarray(rho, dtype=float)
-    s = np.ascontiguousarray(s, dtype=float)
-    if cell_power is None:
-        PP, SS = np.meshgrid(rho, s, indexing="ij")
-        values = np.asarray(fn(PP, SS), dtype=float)
-    else:
-        probe = AxiSymField(d, rho, s, np.zeros((len(rho), len(s))), tail_exponent)
-        re, se = probe.rho_edges, probe.s_edges
-        content = np.zeros((len(rho), len(s)))
-        for xg, wg in zip(_GL2_X, _GL2_W):
-            rr = re[:-1] + (re[1:] - re[:-1]) * xg
-            for yg, vg in zip(_GL2_X, _GL2_W):
-                ss = se[:-1] + (se[1:] - se[:-1]) * yg
-                RR, SS = np.meshgrid(rr, ss, indexing="ij")
-                content += wg * vg * np.asarray(fn(RR, SS), dtype=float) ** cell_power * RR ** (d - 2)
-        radial = (re[1:] ** (d - 1) - re[:-1] ** (d - 1)) / (d - 1)
-        mean_weight = radial / np.diff(re)
-        values = (content / mean_weight[:, None]) ** (1.0 / cell_power)
-    return AxiSymField(
-        d, rho, s, values, tail_exponent,
-        evaluator=fn, cell_power=cell_power, warning=warning,
+    """Sample fn(rho, s) at the nodes of a field grid, keeping fn as the evaluator."""
+    PP, SS = np.meshgrid(
+        np.asarray(rho, dtype=float), np.asarray(s, dtype=float), indexing="ij"
     )
+    values = np.asarray(fn(PP, SS), dtype=float)
+    return AxiSymField(d, rho, s, values, tail_exponent, evaluator=fn, warning=warning)
 
 
-def embed_radial(
-    f: RadialProfile,
-    rho_grid: np.ndarray,
-    s_grid: np.ndarray,
-    cell_power: float | None = None,
-) -> AxiSymField:
+def embed_radial(f: RadialProfile, rho_grid: np.ndarray, s_grid: np.ndarray) -> AxiSymField:
     """Read a radial profile as the axisymmetric field f(sqrt(rho^2 + s^2))."""
-    return field_from_function(
-        _embedded(f), f.d, rho_grid, s_grid, f.tail_exponent, cell_power=cell_power
-    )
+    return field_from_function(_embedded(f), f.d, rho_grid, s_grid, f.tail_exponent)
 
 
 def _embedded(f: RadialProfile) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -602,32 +562,26 @@ def _embedded(f: RadialProfile) -> Callable[[np.ndarray, np.ndarray], np.ndarray
     return ev
 
 
-def _field_staircase(field: AxiSymField):
-    """Sorted cell values (descending) with cumulative Lebesgue measures.
-
-    Row-major stable order breaks ties deterministically.
-    """
-    vals = field.values.ravel()
-    order = np.argsort(-vals, kind="stable")
-    sorted_vals = vals[order]
-    cum = np.cumsum(field.cell_measures().ravel()[order])
-    return sorted_vals, cum
-
-
 def _field_norm_power(field: AxiSymField, p: float) -> float:
-    inside = float(np.sum(field.values**p * field.cell_measures()))
+    """int f^p dx: cell sums of the exact rule, or of the values without one.
+
+    With an evaluator each cell integrates f^p rho^(d-2) by the 2x2 Gauss
+    rule; the exterior tail adds its ray model.
+    """
+    if field.evaluator is None:
+        inside = float(np.sum(field.values**p * field.cell_measures()))
+    else:
+        re, se = field.rho_edges, field.s_edges
+        drho, ds = np.diff(re), np.diff(se)
+        content = np.zeros((len(drho), len(ds)))
+        for xg, wg in zip(_GL2_X, _GL2_W):
+            rr = re[:-1] + drho * xg
+            for yg, vg in zip(_GL2_X, _GL2_W):
+                RR, SS = np.meshgrid(rr, se[:-1] + ds * yg, indexing="ij")
+                fv = np.asarray(field.evaluator(RR, SS), dtype=float)
+                content += wg * vg * fv**p * RR ** (field.d - 2)
+        inside = sphere_area(field.d - 1) * float(drho @ content @ ds)
     return inside + field.exterior_norm_power(p)
-
-
-def _field_distribution(field: AxiSymField, t) -> np.ndarray:
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValueError("distribution function is defined for t > 0")
-    sorted_vals, cum = _field_staircase(field)
-    idx = np.searchsorted(-sorted_vals, -t_arr, side="right")
-    inside = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-    out = inside + field.exterior_levelset_measure(t_arr)
-    return out if np.ndim(t) else float(out[0])
 
 
 def _sample_corners(
@@ -892,6 +846,7 @@ def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProf
 
 
 def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None:
+    """Reject any measure but Lebesgue measure on the field's R^d."""
     expected = lebesgue_measure(field.d)
     if (
         measure.weight_exponent != expected.weight_exponent
@@ -903,6 +858,21 @@ def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None
         )
 
 
+def _distribution_reading(
+    f: RadialProfile | AxiSymField, measure: WeightedMeasure
+) -> RadialProfile:
+    """The profile a distribution functional reads: a field's rearrangement.
+
+    Distribution functionals see only super-level-set measures, so a field is
+    read as its symmetric decreasing rearrangement on a 4096-node grid;
+    profiles are read as they are.
+    """
+    if isinstance(f, AxiSymField):
+        _require_field_measure(f, measure)
+        return _rearranged_profile(f, default_radial_grid(4096))
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Public functionals
 # ---------------------------------------------------------------------------
@@ -911,10 +881,11 @@ def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None
 def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) -> float:
     """L^p norm of a profile or field against the given measure.
 
-    Profiles integrate their canonical interpretation piece by piece; fields
-    sum cell contributions plus the exterior tail correction (fields accept
-    Lebesgue measure only). Raises TailDivergenceError when the declared tail
-    makes the integral infinite.
+    Profiles integrate their canonical interpretation piece by piece. Fields
+    (Lebesgue measure only) integrate their evaluator with the 2x2 Gauss rule
+    per cell, or sum value^p times cell measure without one, plus the exterior
+    tail model. Raises TailDivergenceError when the declared tail makes the
+    integral infinite.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -925,11 +896,11 @@ def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) 
 
 
 def distribution_at(f: RadialProfile | AxiSymField, t, measure: WeightedMeasure):
-    """Exact measure of the super-level set {f >= t}; t scalar or array."""
-    if isinstance(f, AxiSymField):
-        _require_field_measure(f, measure)
-        return _field_distribution(f, t)
-    return _profile_distribution(f, t, measure)
+    """Exact measure of the super-level set {f >= t}, t > 0; t scalar or array.
+
+    A field is read through its 4096-node rearrangement.
+    """
+    return _profile_distribution(_distribution_reading(f, measure), t, measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -958,25 +929,14 @@ class DistributionFunction:
 
 
 def distribution_function(
-    f: RadialProfile | AxiSymField, measure: WeightedMeasure, max_levels: int = 1024
+    f: RadialProfile | AxiSymField, measure: WeightedMeasure
 ) -> DistributionFunction:
     """Distribution function evaluated at the function's own level breakpoints.
 
-    For profiles the breakpoints are the distinct positive node values and the
-    table is exact. For fields the cell staircase is subsampled to at most
-    max_levels thresholds (plus the extremes), again with exact values at the
-    reported thresholds.
+    The breakpoints are the distinct positive node values of the profile, or
+    of a field's 4096-node rearrangement, and the table is exact for it.
     """
-    if isinstance(f, AxiSymField):
-        _require_field_measure(f, measure)
-        levels = np.unique(f.values[f.values > 0])
-        if len(levels) == 0:
-            return DistributionFunction(np.array([]), np.array([]))
-        if len(levels) > max_levels:
-            pick = np.unique(np.linspace(0, len(levels) - 1, max_levels).astype(int))
-            levels = levels[pick]
-        thresholds = levels[::-1]
-        return DistributionFunction(thresholds, _field_distribution(f, thresholds))
+    f = _distribution_reading(f, measure)
     levels = _positive_levels(f)
     if len(levels) == 0:
         return DistributionFunction(np.array([]), np.array([]))
@@ -1081,17 +1041,11 @@ def lorentz_quasinorm(
     The p factor is the normalization under which r = p reproduces the L^p
     norm exactly (layer cake), which the test suite checks to 1e-8. For an
     indicator of measure V this gives V^{1/p} (p/r)^{1/r} at finite r and
-    V^{1/p} at r = inf. Fields are rearranged onto a fine radial grid first
-    (the quasinorm only sees the distribution function, so rearrangement is
-    lossless up to staircase resolution).
+    V^{1/p} at r = inf. A field is read through its 4096-node rearrangement.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    if isinstance(f, AxiSymField):
-        _require_field_measure(f, measure)
-        prof = _rearranged_profile(f, default_radial_grid(4096))
-        return _lorentz_profile(prof, p, r, measure)
-    return _lorentz_profile(f, p, r, measure)
+    return _lorentz_profile(_distribution_reading(f, measure), p, r, measure)
 
 
 @dataclass(frozen=True)
@@ -1110,10 +1064,12 @@ def interpolation_check(
 
     Exact for every measurable f (the normalizing p factor cancels), so
     failures beyond a 1e-8 relative slack indicate a quadrature bug, not a
-    borderline profile.
+    borderline profile. A field is rearranged once (4096 nodes) and all
+    three terms, the L^p norm too, read that rearrangement.
     """
     if not r > p:
         raise ValueError(f"need r > p, got r={r}, p={p}")
+    f = _distribution_reading(f, measure)
     lhs = lorentz_quasinorm(f, p, r, measure) ** r
     weak = lorentz_quasinorm(f, p, math.inf, measure)
     strong = lp_norm(f, p, measure)

@@ -36,8 +36,8 @@ from kplane import (
     s_symmetry,
     sample_point_tuple,
 )
+from kplane.flow import _half_max_radius
 from kplane.profiles import RadialProfile
-from kplane.verify import run_suite
 
 PAIRS = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
 
@@ -181,12 +181,7 @@ def test_criterion_4_operator_identities():
                 return ((c * rr**2 + ss**2 / c) <= 1.0).astype(float)
 
             field = field_from_function(fn, dd, rg, sg, tail_exponent=float(dd + 2))
-            st = rearrange(field, out_radii=out)
-            half = 0.5 * float(st.values.max())
-            j = int(np.nonzero(st.values < half)[0][0])
-            u0, u1 = st.log_radii[j - 1], st.log_radii[j]
-            v0, v1 = st.values[j - 1], st.values[j]
-            r_hat = math.exp(u0 + (u1 - u0) * (half - v0) / (v1 - v0))
+            r_hat = _half_max_radius(rearrange(field, out_radii=out))
             law = max(law, abs(r_hat * c ** ((dd - 2) / (2.0 * dd)) - 1.0))
 
     ok = invol <= 1e-12 and fixed <= 1e-3 and iso <= 1e-3 and idem <= 1e-3 and law <= 1e-2
@@ -273,10 +268,10 @@ def test_criterion_7_drury_consistency():
     assert dt <= 600.0
 
 
-def test_criterion_8_property_suites():
-    t0 = time.perf_counter()
-    results = run_suite("rearrange", seed=0) + run_suite("lorentz", seed=0)
-    dt = time.perf_counter() - t0
+def test_criterion_8_property_suites(verify_run):
+    (rearr, t_rearr), (lor, t_lor) = verify_run("rearrange"), verify_run("lorentz")
+    results = rearr + lor
+    dt = t_rearr + t_lor
     names = "/".join(r.name for r in results)
     for needed in (
         "norm-preservation",

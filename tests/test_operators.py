@@ -275,7 +275,7 @@ def test_s_symmetry_isometry():
         def ev(rq, sq, a=a, b=b, s0=s0, tail=tail, amp=amp):
             return amp * (1.0 + a * rq**2 + b * (sq - s0) ** 2) ** (-tail / 2.0)
 
-        g = field_from_function(ev, 3, rho, s, tail, cell_power=pr.pf)
+        g = field_from_function(ev, 3, rho, s, tail)
         sg = s_symmetry(g, pr)
         na = lp_norm(g, pr.pf, mu)
         nb = lp_norm(sg, pr.pf, mu)

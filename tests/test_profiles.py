@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta
 
 from kplane import (
+    AxiSymField,
     RadialProfile,
     TailDivergenceError,
     TransformParams,
@@ -16,6 +18,7 @@ from kplane import (
     distribution_at,
     distribution_function,
     embed_radial,
+    field_from_function,
     graded_field_grid,
     indicator_profile,
     interpolation_check,
@@ -24,6 +27,7 @@ from kplane import (
     lp_distance,
     lp_norm,
     radial_measure,
+    rearrange,
     sphere_area,
     step_profile,
 )
@@ -215,6 +219,11 @@ def test_distribution_edge_cases():
     ts = np.array([0.8, 0.4, 0.2, 0.05])
     ds = np.asarray(distribution_at(f, ts, mu))
     assert np.all(np.diff(ds) > 0)  # antitone in t, ts is decreasing
+    # thresholds must be positive; NaN is rejected, alone or among valid ones
+    ind, leb = indicator_profile(3), lebesgue_measure(3)
+    for bad in (math.nan, [0.5, math.nan], 0.0, -1.0):
+        with pytest.raises(ValueError, match="t > 0"):
+            distribution_at(ind, bad, leb)
 
 
 def test_distribution_function_table():
@@ -228,6 +237,41 @@ def test_distribution_function_table():
     assert table.measures[j2] == pytest.approx(0.5, rel=1e-9)
     j1 = int(np.argmin(np.abs(table.thresholds - 1.0)))
     assert table.measures[j1] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_field_distribution_matches_profile():
+    # the field's rearrangement reads {h >= t} to 5.6e-3 on this grid; the
+    # sorted-cell staircase it replaced read 1.9e-2
+    f = h_profile(3)
+    mu = lebesgue_measure(3)
+    rho, s = graded_field_grid(60.0, 512, 512)
+    g = embed_radial(f, rho, s)
+    ts = np.geomspace(1e-3, 0.95, 25)
+    got = np.asarray(distribution_at(g, ts, mu))
+    expect = np.asarray(distribution_at(f, ts, mu))
+    assert np.max(np.abs(got / expect - 1.0)) <= 1e-2
+
+
+def test_field_distribution_functionals_read_rearrangement():
+    # an off-center anisotropic bump: every distribution functional of the
+    # field is its value on the field's 4096-node rearrangement. Radius 3e-4
+    # leaves about 260 positive nodes on that grid, which keeps the Lorentz
+    # engine, whose cost grows with the level count, near a second a call.
+    mu = lebesgue_measure(3)
+    big_r = 3e-4
+    rho, s = graded_field_grid(2.0 * big_r, 64, 64)
+
+    def ev(rq, sq):
+        q = (0.6 * rq**2 + 2.1 * (sq - 0.2 * big_r) ** 2) / big_r**2
+        return 1.3 * np.clip(1.0 - q, 0.0, None) ** 2
+
+    g = field_from_function(ev, 3, rho, s, 4.0)
+    v = rearrange(g, out_radii=default_radial_grid(4096))
+    table, table_v = distribution_function(g, mu), distribution_function(v, mu)
+    np.testing.assert_array_equal(table.thresholds, table_v.thresholds)
+    np.testing.assert_array_equal(table.measures, table_v.measures)
+    assert lorentz_quasinorm(g, 2.0, 3.0, mu) == lorentz_quasinorm(v, 2.0, 3.0, mu)
+    assert interpolation_check(g, 2.0, 3.0, mu) == interpolation_check(v, 2.0, 3.0, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +417,6 @@ def test_lp_distance_mismatched_tails():
 def test_cell_measures_hand_check():
     # 2x2 cells filling [0, 2] x [-1, 1] in d = 3; the total must be the
     # cylinder volume int 2 pi rho drho ds = 8 pi and the rows split 1 : 3
-    from kplane import AxiSymField
-
     g = AxiSymField(
         3,
         np.array([0.5, 1.5]),
@@ -393,10 +435,26 @@ def test_embed_radial_norm_matches_profile():
     pr = TransformParams(1, 3)
     f = h_profile(3)
     rho, s = graded_field_grid(60.0, 256, 256)
-    g = embed_radial(f, rho, s, cell_power=pr.pf)
+    g = embed_radial(f, rho, s)
     nf = lp_norm(g, pr.pf, lebesgue_measure(3))
     expect = (sphere_area(3) * i_integral(2, 4)) ** (1.0 / pr.pf)
     assert abs(nf / expect - 1.0) < 1e-4
+
+
+def test_field_norm_integrates_evaluator_for_every_p():
+    # ||h||_p^p = 4 pi int r^2 (1 + r^2)^-p dr = 4 pi B(3/2, p - 3/2) / 2 in
+    # R^3; one field holds it for both p, as power-mean values could not
+    f = h_profile(3)
+    mu = lebesgue_measure(3)
+    rho, s = graded_field_grid(60.0, 256, 256)
+    g = embed_radial(f, rho, s)
+    for p in (2.0, 3.0):
+        expect = 2.0 * math.pi * beta(1.5, p - 1.5)
+        assert abs(lp_norm(g, p, mu) ** p / expect - 1.0) < 1e-4
+    # a field with values only sums its cells
+    bare = AxiSymField(3, rho, s, g.values, g.tail_exponent)
+    cells = float(np.sum(g.values**2 * bare.cell_measures())) + bare.exterior_norm_power(2.0)
+    assert lp_norm(bare, 2.0, mu) ** 2 == pytest.approx(cells, rel=1e-12)
 
 
 def test_embed_radial_point_values():
@@ -410,8 +468,6 @@ def test_embed_radial_point_values():
 
 
 def test_field_validation():
-    from kplane import AxiSymField
-
     rho = np.array([0.5, 1.5])
     s = np.array([-0.5, 0.5])
     vals = np.ones((2, 2))

@@ -2,12 +2,13 @@
 
 import pytest
 
+from kplane import verify
 from kplane.verify import SUITE_NAMES, run_suite
 
 
 @pytest.mark.parametrize("suite", ("rearrange", "lorentz", "symmetry", "drury", "flow"))
-def test_suite_passes(suite):
-    results = run_suite(suite, seed=0)
+def test_suite_passes(suite, verify_run):
+    results, _ = verify_run(suite)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     assert results, "suite returned no checks"
@@ -23,8 +24,19 @@ def test_unknown_suite():
         run_suite("nosuch")
 
 
-def test_all_runs_every_suite_in_order():
+def test_all_runs_every_suite_in_order(verify_run, monkeypatch):
+    # run_suite("all") dispatches to every suite in turn; each suite hands
+    # back its shared session run instead of running again
+    calls = []
+    for name in SUITE_NAMES[1:]:
+
+        def recorded(seed, name=name, **kwargs):
+            calls.append((name, seed))
+            return verify_run(name)[0]
+
+        monkeypatch.setitem(verify._SUITES, name, recorded)
     results = run_suite("all", seed=0)
+    assert calls == [(name, 0) for name in SUITE_NAMES[1:]]
     names = [r.name for r in results]
     # 7 rearrange + 3 lorentz + 5 symmetry + 3 drury + 6 flow
     assert len(names) == 24
