@@ -41,6 +41,21 @@ def _quad_form(P: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", z, P, z)
 
 
+def _line_minimum(H: np.ndarray, delta: np.ndarray, e: np.ndarray):
+    """(lambda*, a, c*) with q(delta + lambda e) = a (lambda - lambda*)^2 + c*, q = z^T H z.
+
+    c* is read as q at the foot point delta + lambda* e, not as c - b^2/(4a):
+    for a line far from the origin of q (|delta| ~ 1e9) that difference
+    cancels to noise of either sign, while q at a point is accurate to
+    rounding and never negative.
+    """
+    a = _quad_form(H, e)
+    lam = -np.einsum("...i,ij,...j->...", delta, H, e) / a
+    foot = lam[..., None] * e
+    foot += delta
+    return lam, a, _quad_form(H, foot)
+
+
 @dataclass(frozen=True, eq=False)
 class CauchyPowerField:
     """amplitude * ([x;1]^T P [x;1])^(-(k+1)/2) with P positive definite.
@@ -159,27 +174,21 @@ class CauchyPowerField:
 
     # Line and plane geometry ----------------------------------------------
 
-    def line_quadratic(self, p0, e):
-        """Coefficients (a, b, c) of the quadratic along x = p0 + lambda e."""
-        z0 = _homogeneous(p0)
-        w = np.concatenate(
-            [np.asarray(e, dtype=float), np.zeros(np.shape(e)[:-1] + (1,))], axis=-1
-        )
-        a = _quad_form(self.matrix, w)
-        b = 2.0 * np.einsum("...i,ij,...j->...", z0, self.matrix, w)
-        c = _quad_form(self.matrix, z0)
-        return a, b, c
+    def _quadratic_on_line(self, p0, e):
+        # [x;1]^T P [x;1] = (x - center)^T A (x - center) + c_min
+        A = self._A  # type: ignore[attr-defined]
+        delta = np.asarray(p0, dtype=float) - self.center
+        lam, a, c_star = _line_minimum(A, delta, np.asarray(e, dtype=float))
+        return lam, a, self._c_min + c_star  # type: ignore[attr-defined]
 
     def line_focus(self, p0, e):
         """(lambda*, width) of the restriction to the line, for tan maps."""
-        a, b, c = self.line_quadratic(p0, e)
-        lam = -b / (2.0 * a)
-        return lam, np.sqrt((c - b * b / (4.0 * a)) / a)
+        lam, a, c_star = self._quadratic_on_line(p0, e)
+        return lam, np.sqrt(c_star / a)
 
     def line_integral(self, p0, e):
         """int f(p0 + lambda e) dlambda over the whole line, exactly."""
-        a, b, c = self.line_quadratic(p0, e)
-        c_star = c - b * b / (4.0 * a)
+        _, a, c_star = self._quadratic_on_line(p0, e)
         k = self.k
         return self.amplitude * sf.beta(0.5, k / 2.0) * a**-0.5 * c_star ** (-k / 2.0)
 
@@ -262,20 +271,16 @@ class GaussianBump:
         scale = np.linalg.cholesky(np.linalg.inv(p * self.shape))
         return self.center + rng.standard_normal((n, self.d)) @ scale.T
 
-    def line_quadratic(self, p0, e):
+    def _quadratic_on_line(self, p0, e):
         delta = np.asarray(p0, dtype=float) - self.center
-        e = np.asarray(e, dtype=float)
-        a = _quad_form(self.shape, e)
-        b = 2.0 * np.einsum("...i,ij,...j->...", delta, self.shape, e)
-        return a, b, _quad_form(self.shape, delta)
+        return _line_minimum(self.shape, delta, np.asarray(e, dtype=float))
 
     def line_focus(self, p0, e):
-        a, b, _ = self.line_quadratic(p0, e)
-        return -b / (2.0 * a), 1.0 / np.sqrt(a)
+        lam, a, _ = self._quadratic_on_line(p0, e)
+        return lam, 1.0 / np.sqrt(a)
 
     def line_integral(self, p0, e):
-        a, b, c = self.line_quadratic(p0, e)
-        c_star = c - b * b / (4.0 * a)
+        _, a, c_star = self._quadratic_on_line(p0, e)
         return self.amplitude * np.exp(-0.5 * c_star) * np.sqrt(2.0 * math.pi / a)
 
 

@@ -255,21 +255,30 @@ def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) ->
     return measure.prefactor * total
 
 
-def _profile_distribution(f: RadialProfile, t, measure: WeightedMeasure, chunk: int = 512):
-    """Exact measure of {f >= t} for the PL interpretation; t scalar or array.
+# A query lists at most as many (threshold, piece) crossing pairs at once as a
+# dense scan of this many thresholds held entries: one with more pairs sweeps
+# its sorted thresholds in blocks of this many.
+_THRESHOLD_BLOCK = 512
 
-    Works piece by piece: a linear-in-log-r piece contributes its full
-    measure when t <= min endpoint value and the measure of the sub-interval
-    past the crossing log r* = u_a + (u_b - u_a) (t - v_a)/(v_b - v_a)
-    when t lies between the endpoint values. Head (constant) and tail
-    (power decay, always finite measure for t > 0) are closed form.
+
+def _distribution_engine(
+    f: RadialProfile, measure: WeightedMeasure
+) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> exact measure of {f >= t} for the PL interpretation, t > 0 an array.
+
+    A linear-in-log-r piece contributes its full measure when t <= its lower
+    endpoint value, and the measure of the sub-interval past the crossing
+    log r* = u_a + (u_b - u_a) (t - v_a)/(v_b - v_a) when lo < t <= hi. Head
+    (constant) and tail (power decay, finite measure for t > 0) are closed
+    form. The pieces are sorted by their lower value once, so the full pieces
+    of a threshold are a suffix sum found by one search. Against the sorted
+    thresholds the crossings of each piece form one contiguous run, so a
+    query of T thresholds on n pieces costs O((n + T) log(n + T)) plus the
+    number of (threshold, piece) crossings, which is O(n + T) for a monotone
+    profile.
     """
     m = measure.weight_exponent
     pre = measure.prefactor
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    # one pass that also rejects NaN, for which every comparison is False
-    if not np.all(t_arr > 0):
-        raise ValueError("distribution function is defined for t > 0, not NaN")
     u = f.log_radii
     v = f.values
     ua, ub = u[:-1], u[1:]
@@ -279,30 +288,64 @@ def _profile_distribution(f: RadialProfile, t, measure: WeightedMeasure, chunk: 
     lo = np.minimum(va, vb)
     hi = np.maximum(va, vb)
     dv = vb - va
-    increasing = dv > 0
-    out = np.empty_like(t_arr)
-    for start in range(0, len(t_arr), chunk):
-        tt = t_arr[start : start + chunk, None]
-        full = tt <= lo
-        crossing = (~full) & (tt <= hi) & (dv != 0)
-        frac = np.zeros((tt.shape[0], len(du)))
-        np.divide(
-            np.broadcast_to(tt - va, frac.shape),
-            np.broadcast_to(dv, frac.shape),
-            out=frac,
-            where=crossing,
-        )
-        estar = np.exp(m * (ua + du * np.clip(frac, 0.0, 1.0)))
-        contrib = np.where(full, eb - ea, 0.0)
-        contrib = np.where(crossing & increasing, eb - estar, contrib)
-        contrib = np.where(crossing & ~increasing, estar - ea, contrib)
-        total = contrib.sum(axis=1)
-        total += np.where(tt[:, 0] <= v[0], f.radii[0] ** m, 0.0)
+    # a crossed piece keeps the part past its crossing: eb - e* when it
+    # increases, e* - ea when it decreases, i.e. sign * (e* - base)
+    sign = np.where(dv > 0, -1.0, 1.0)
+    base = np.where(dv > 0, eb, ea)
+    by_lo = np.argsort(lo, kind="stable")
+    lo_sorted = lo[by_lo]
+    full_above = np.concatenate([np.cumsum((eb - ea)[by_lo][::-1])[::-1], [0.0]])
+    # only pieces with lo < hi can be crossed
+    sloped = np.flatnonzero(dv != 0)
+    s_lo, s_hi = lo[sloped], hi[sloped]
+    head = f.radii[0] ** m
+    r_n = f.radii[-1]
+
+    def dist(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        # one pass that also rejects NaN, for which every comparison is False
+        if not (t > 0).all():
+            raise ValueError("distribution function is defined for t > 0, not NaN")
+        order = t.ravel().argsort(kind="stable")
+        ts = t.ravel()[order]
+        total = full_above[lo_sorted.searchsorted(ts, side="left")]
+        # piece j crosses the sorted thresholds first[j] .. stop[j] - 1
+        first = ts.searchsorted(s_lo, side="right")
+        stop = ts.searchsorted(s_hi, side="right")
+        n_pairs = int((stop - first).sum())
+        # one sweep unless the pairs outnumber those of a dense block
+        block = _THRESHOLD_BLOCK if n_pairs > _THRESHOLD_BLOCK * len(lo) else max(len(ts), 1)
+        for b0 in range(0, len(ts), block):
+            b1 = min(b0 + block, len(ts))
+            start = np.maximum(first, b0)
+            count = np.minimum(stop, b1) - start
+            live = (count > 0).nonzero()[0]
+            if len(live) == 0:
+                continue
+            count = count[live]
+            ends = count.cumsum()
+            piece = sloped[live].repeat(count)
+            at = np.arange(ends[-1]) + (start[live] - (ends - count)).repeat(count)
+            frac = np.minimum(np.maximum((ts[at] - va[piece]) / dv[piece], 0.0), 1.0)
+            estar = np.exp(m * (ua[piece] + du[piece] * frac))
+            part = sign[piece] * (estar - base[piece])
+            total[b0:b1] += np.bincount(at - b0, weights=part, minlength=b1 - b0)
+        total += np.where(ts <= v[0], head, 0.0)
         if v[-1] > 0:
+            # far below the tail's anchor value the measure overflows to inf
             with np.errstate(over="ignore"):
-                r_t = f.radii[-1] * (v[-1] / tt[:, 0]) ** (1.0 / f.tail_exponent)
-            total += np.where(tt[:, 0] <= v[-1], r_t**m - f.radii[-1] ** m, 0.0)
-        out[start : start + chunk] = pre * total / m
+                r_t = r_n * (v[-1] / ts) ** (1.0 / f.tail_exponent)
+                total += np.where(ts <= v[-1], r_t**m - r_n**m, 0.0)
+        out = np.empty_like(total)
+        out[order] = pre * total / m
+        return out.reshape(t.shape)
+
+    return dist
+
+
+def _profile_distribution(f: RadialProfile, t, measure: WeightedMeasure):
+    """Exact measure of {f >= t} for the PL interpretation; t scalar or array."""
+    out = _distribution_engine(f, measure)(np.atleast_1d(np.asarray(t, dtype=float)))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -957,8 +1000,7 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
             f"with {m}/{gamma} >= p"
         )
 
-    def dist(t: np.ndarray) -> np.ndarray:
-        return _profile_distribution(f, t, measure)
+    dist = _distribution_engine(f, measure)
 
     if math.isinf(r):
         # candidates: every breakpoint (right-continuous value), plus refined
@@ -991,27 +1033,24 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
     if not r > 0:
         raise ValueError(f"secondary exponent must be positive, got {r}")
 
-    def segment_integral(lo: np.ndarray, hi: np.ndarray) -> float:
+    def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # GL24 terms of int_lo^hi d(t)^(r/p) t^(r-1) dt, one row per node
         width = hi - lo
-        total = 0.0
-        for xg, wg in zip(_GL24_X, _GL24_W):
-            tt = lo + width * xg
-            total += float(np.sum(wg * width * dist(tt) ** (r / p) * tt ** (r - 1.0)))
-        return total
+        tt = lo + width * _GL24_X[:, None]
+        return _GL24_W[:, None] * width * dist(tt) ** (r / p) * tt ** (r - 1.0)
 
     acc = 0.0
     if len(levels) > 1:
-        acc += segment_integral(levels[:-1], levels[1:])
+        for row in node_terms(levels[:-1], levels[1:]):
+            acc += float(np.sum(row))
     # bottom region (0, t_min): dyadic descent, then a closed-form remainder
-    t_hi = levels[0]
+    edges = levels[0] * 0.5 ** np.arange(65)
+    pieces = node_terms(edges[1:], edges[:-1]).sum(axis=0)
     if has_tail:
         c1, c2 = _tail_coeffs(f, measure)
         alpha = r * (1.0 - m / (p * gamma))
-    for _ in range(64):
-        t_lo = t_hi / 2.0
-        piece = segment_integral(np.array([t_lo]), np.array([t_hi]))
+    for piece, t_hi in zip(pieces, edges[1:]):
         acc += piece
-        t_hi = t_lo
         if piece < 1e-17 * acc and acc > 0:
             break
     if has_tail:

@@ -218,9 +218,7 @@ def lorentz_suite(seed: int = 0) -> list[CheckResult]:
     """Layer-cake identity, indicator closed forms, interpolation bound."""
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    # 384 nodes: the level-set scan in the quasinorm is quadratic in the
-    # node count, and the identities under test are grid-exact anyway.
-    out = default_radial_grid(384)
+    out = default_radial_grid()
 
     # L^{p,p} = L^p to 1e-8 on 100 random profiles (smooth mixes and steps).
     dev = 0.0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from kplane import (
     BallIndicator,
@@ -185,6 +185,43 @@ def test_cauchy_line_focus_minimizes_quadratic():
     v0 = f.value(p0 + lam * e)
     assert v0 >= f.value(p0 + (lam + 0.05) * e)
     assert v0 >= f.value(p0 + (lam - 0.05) * e)
+
+
+def test_line_integral_far_from_center():
+    # the line through p0 = 1e9 n + w along n, with n = (3/5, 4/5, 0) and w
+    # orthogonal to n, passes the center at distance |w|: the quadratic along
+    # it is a (lambda - 1/2)^2 + 1 + |w|^2. Every coordinate is exact in binary,
+    # and c - b^2/(4a) would cancel 1e18-sized terms down to noise.
+    w = np.array([0.5, -0.375, 0.25])
+    p0 = np.array([600_000_000.0, 800_000_000.0, 0.0]) + w
+    e = np.array([-1.2e9, -1.6e9, 0.0])
+    for k in (1, 2):
+        f = CauchyPowerField.extremizer(TransformParams(k, 3))
+        want = special.beta(0.5, k / 2.0) / 2e9 * (1.0 + w @ w) ** (-k / 2.0)
+        assert abs(float(f.line_integral(p0, e)) / want - 1.0) < 1e-6
+        lam, width = f.line_focus(p0, e)
+        assert abs(lam - 0.5) < 1e-12
+        assert abs(width / (math.sqrt(1.0 + w @ w) / 2e9) - 1.0) < 1e-6
+    # batched over lines, a far line keeps its own finite value
+    both = f.line_integral(np.stack([p0, w]), np.stack([e, e]))
+    assert np.all(np.isfinite(both)) and abs(both[0] / both[1] - 1.0) < 1e-6
+    # the Gaussian's quadratic has the same minimum along that line
+    g = GaussianBump(np.zeros(3), np.eye(3))
+    want = math.exp(-0.5 * (w @ w)) * math.sqrt(2.0 * math.pi) / 2e9
+    assert abs(float(g.line_integral(p0, e)) / want - 1.0) < 1e-6
+
+
+def test_drury_on_cauchy_extremizer_far_samples_stay_finite():
+    # at (1, 3) the extremizer's f^p is a Cauchy law, and this seed draws a
+    # point near |x| = 1e9 whose line integral used to cancel to NaN; the
+    # estimate must be finite and pass the benchmark's drury-mc check
+    from kplane import drury_norm_mc
+
+    pr = TransformParams(1, 3)
+    est = drury_norm_mc(CauchyPowerField.extremizer(pr), pr, n_samples=100_000, seed=5204)
+    ref = math.pi**5
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert abs(est.value - ref) <= max(4.0 * est.std_error, 0.15 * ref)
 
 
 def test_cauchy_plane_integral_against_quad():

@@ -254,11 +254,11 @@ def test_field_distribution_matches_profile():
 
 def test_field_distribution_functionals_read_rearrangement():
     # an off-center anisotropic bump: every distribution functional of the
-    # field is its value on the field's 4096-node rearrangement. Radius 3e-4
-    # leaves about 260 positive nodes on that grid, which keeps the Lorentz
-    # engine, whose cost grows with the level count, near a second a call.
+    # field is its value on the field's 4096-node rearrangement. At radius 1
+    # the rearrangement resolves the bump over four decades of the grid
+    # (about 2070 positive nodes), from its flat top to its edge.
     mu = lebesgue_measure(3)
-    big_r = 3e-4
+    big_r = 1.0
     rho, s = graded_field_grid(2.0 * big_r, 64, 64)
 
     def ev(rq, sq):
@@ -267,11 +267,113 @@ def test_field_distribution_functionals_read_rearrangement():
 
     g = field_from_function(ev, 3, rho, s, 4.0)
     v = rearrange(g, out_radii=default_radial_grid(4096))
+    assert np.count_nonzero(v.values) > 2000
     table, table_v = distribution_function(g, mu), distribution_function(v, mu)
     np.testing.assert_array_equal(table.thresholds, table_v.thresholds)
     np.testing.assert_array_equal(table.measures, table_v.measures)
     assert lorentz_quasinorm(g, 2.0, 3.0, mu) == lorentz_quasinorm(v, 2.0, 3.0, mu)
     assert interpolation_check(g, 2.0, 3.0, mu) == interpolation_check(v, 2.0, 3.0, mu)
+
+
+# ---------------------------------------------------------------------------
+# The distribution engine against a dense per-piece reference
+# ---------------------------------------------------------------------------
+
+
+def dense_distribution(f, t, mu):
+    """Measure of {f >= t}: every piece of the profile masked at every threshold.
+
+    The per-piece arithmetic is the engine's, so the two differ only in the
+    order of summation; near a peak the measure is a difference of much
+    larger exponentials and would amplify any other rounding.
+    """
+    m = mu.weight_exponent
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    u, v = f.log_radii, f.values
+    ua, ub, va, vb = u[:-1], u[1:], v[:-1], v[1:]
+    ea, eb = np.exp(m * ua), np.exp(m * ub)
+    total = np.where(t <= v[0], f.radii[0] ** m, 0.0)
+    for k, tk in enumerate(t):
+        full = tk <= np.minimum(va, vb)
+        cross = ~full & (tk <= np.maximum(va, vb))
+        frac = (tk - va[cross]) / (vb - va)[cross]
+        e_star = np.exp(m * (ua[cross] + (ub - ua)[cross] * frac))
+        part = np.where(vb[cross] > va[cross], eb[cross] - e_star, e_star - ea[cross])
+        total[k] += np.sum(eb[full] - ea[full]) + np.sum(part)
+    if v[-1] > 0:
+        with np.errstate(over="ignore"):
+            r_t = f.radii[-1] * (v[-1] / t) ** (1.0 / f.tail_exponent)
+            total += np.where(t <= v[-1], r_t**m - f.radii[-1] ** m, 0.0)
+    return mu.prefactor * total / m
+
+
+def _ring_mix(n, bumps, tail):
+    # bumps (amplitude, log center, log width) over radii 1e-2..1e2; a center
+    # away from the origin makes a ring, so the profile is not monotone
+    radii = np.geomspace(1e-2, 1e2, n)
+    x = np.log(radii)
+    vals = sum(a * np.exp(-(((x - c) / w) ** 2)) for a, c, w in bumps)
+    return RadialProfile(3, radii, vals, tail)
+
+
+def _zigzag(n, low, high):
+    # every threshold in (low, high] crosses every piece
+    vals = np.where(np.arange(n) % 2 == 0, high, low)
+    return RadialProfile(3, np.geomspace(0.1, 10.0, n), vals, 3.5)
+
+
+_bump = st.tuples(st.floats(0.05, 2.0), st.floats(-4.0, 4.0), st.floats(0.2, 3.0))
+_engine_profiles = st.one_of(
+    st.builds(
+        _ring_mix,
+        st.integers(2, 40),
+        st.lists(_bump, min_size=1, max_size=4),
+        st.floats(1.5, 8.0),
+    ),
+    st.builds(
+        lambda gaps, levels: step_profile(3, np.cumsum(gaps), levels[: len(gaps)]),
+        st.lists(st.floats(0.05, 2.0), min_size=1, max_size=5),
+        st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    ),
+    st.builds(_zigzag, st.integers(2, 40), st.floats(0.01, 0.5), st.floats(0.6, 2.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_engine_profiles, data=st.data())
+def test_distribution_engine_matches_dense_reference(f, data):
+    from kplane.profiles import _distribution_engine, _profile_distribution
+
+    top = float(f.values.max())
+    nodes = st.sampled_from(sorted(set(f.values[f.values > 0].tolist())))
+    ts = data.draw(
+        st.lists(st.one_of(st.floats(1e-3 * top, 1.2 * top), nodes), min_size=1, max_size=30)
+    )
+    ts = ts + data.draw(st.lists(st.sampled_from(ts), max_size=5))  # duplicates
+    ts = data.draw(st.permutations(ts))  # in no particular order
+    mu = lebesgue_measure(3)
+    want = dense_distribution(f, ts, mu)
+    got = _distribution_engine(f, mu)(np.array(ts))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # scalars, and arrays of any shape, read the same engine
+    assert _profile_distribution(f, ts[0], mu) == got[0]
+    grid = _distribution_engine(f, mu)(np.array(ts).reshape(1, -1, 1))
+    np.testing.assert_array_equal(grid.ravel(), got)
+
+
+def test_distribution_engine_sweeps_dense_queries_in_blocks():
+    # a zigzag of 40 pieces crossed at 2000 thresholds has more crossing
+    # pairs than one dense block of 512 thresholds holds, so the sweep splits
+    from kplane import profiles
+
+    f = _zigzag(41, 0.1, 1.0)
+    mu = lebesgue_measure(3)
+    ts = np.linspace(0.11, 1.0, 2000)[::-1]
+    n_pairs = 40 * len(ts)  # every piece crosses every threshold
+    assert n_pairs > profiles._THRESHOLD_BLOCK * 40
+    np.testing.assert_allclose(
+        profiles._distribution_engine(f, mu)(ts), dense_distribution(f, ts, mu), rtol=1e-13
+    )
 
 
 # ---------------------------------------------------------------------------
