@@ -6,8 +6,9 @@ pulls in the numerical modules; numpy pins its thread pools at import time,
 so the cap must land in the environment before that happens.
 
 Exit codes: 0 when everything passed, 1 when a numerical invariant failed
-(a check suite reported FAIL, the iteration broke monotonicity, or the
-quadrature cross-check drifted), 2 on usage or I/O errors.
+(a check suite reported FAIL, the iteration broke monotonicity or moved the
+raw norm by more than 5e-3, or the quadrature cross-check drifted), 2 on
+usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -210,12 +211,17 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     d_slack = float(np.max(np.diff(report.distances), initial=-math.inf))
     r_slack = float(np.max(-np.diff(report.ratios), initial=-math.inf))
     a_bound = best_constant(params) * (1.0 + 2e-4)
+    norm_defect = float(np.max(np.abs(report.norms / report.norms[0] - 1.0)))
     invariants = {
         "distance_nonincreasing": d_slack <= 1e-6,
         "ratio_nondecreasing": r_slack <= 1e-6,
         "ratio_bounded": float(np.max(report.ratios)) <= a_bound,
+        # raw norms before the rescale: the operators are L^p isometries
+        "norm_conserved": norm_defect <= 5e-3,
     }
     held = all(invariants.values())
+    for warning in report.warnings:
+        print(f"kplane: warning: {warning}", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
@@ -250,7 +256,9 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "final_distance": float(report.distances[-1]),
         "final_ratio": float(report.ratios[-1]),
         "best_constant": best_constant(params),
+        "norm_defect": norm_defect,
         "invariants": invariants,
+        "warnings": list(report.warnings),
         "trace": trace_path,
     }
     summary_path = os.path.join(args.out, "summary.json")

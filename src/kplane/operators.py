@@ -222,14 +222,19 @@ def s_symmetry(g: AxiSymField, params: TransformParams) -> AxiSymField:
     stay finite, and the returned field carries a warning string.
     """
     m = params.k + 1
-    warning = None
-    if g.tail_exponent < m:
-        warning = (
-            f"input tail exponent {g.tail_exponent} < k+1 = {m}: "
-            "inversion image is unbounded near the origin"
-        )
     return field_from_function(
-        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m), warning=warning
+        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m),
+        warning=_unbounded_image_warning(g.tail_exponent, m),
+    )
+
+
+def _unbounded_image_warning(tail_exponent: float, m: int) -> str | None:
+    """The warning for an input tail below k+1 = m, whose S-image is unbounded."""
+    if tail_exponent >= m:
+        return None
+    return (
+        f"input tail exponent {tail_exponent} < k+1 = {m}: "
+        "inversion image is unbounded near the origin"
     )
 
 

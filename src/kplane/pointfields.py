@@ -217,12 +217,23 @@ class CauchyPowerField:
         return G, beta, _quad_form(self.matrix, z0)
 
     def plane_integral(self, p0, e1, e2):
-        """int f(p0 + lambda1 e1 + lambda2 e2) dlambda, requires k = 2."""
+        """int f(p0 + lambda1 e1 + lambda2 e2) dlambda, requires k = 2.
+
+        The minimum of the quadratic over the plane is read at its foot point
+        p0 + E lambda, G lambda = -beta, as line_integral reads it on a line;
+        c - beta . G^-1 beta cancels for planes far from the center.
+        """
         if self.k != 2:
             raise ValueError("closed-form plane integral needs decay exponent 3 (k = 2)")
-        G, beta, c = self.plane_quadratic(p0, e1, e2)
-        sol = np.linalg.solve(G, beta[..., None])[..., 0]
-        c_star = c - np.einsum("...i,...i->...", beta, sol)
+        A = self._A  # type: ignore[attr-defined]
+        E = np.stack([np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)], axis=-1)
+        delta = np.asarray(p0, dtype=float) - self.center
+        AE = A @ E
+        G = np.swapaxes(E, -1, -2) @ AE
+        beta = np.einsum("...ij,...i->...j", AE, delta)
+        lam = -np.linalg.solve(G, beta[..., None])[..., 0]
+        foot = delta + np.einsum("...ij,...j->...i", E, lam)
+        c_star = self._c_min + _quad_form(A, foot)  # type: ignore[attr-defined]
         return self.amplitude * 2.0 * math.pi / np.sqrt(np.linalg.det(G) * c_star)
 
 

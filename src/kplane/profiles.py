@@ -432,14 +432,6 @@ def _cell_edges(x: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     return np.concatenate([[lead], mid, [trail]])
 
 
-def _field_edges(rho, s) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_edges, s_edges) of a checked field grid, as AxiSymField reads them."""
-    rho = np.ascontiguousarray(rho, dtype=float)
-    s = np.ascontiguousarray(s, dtype=float)
-    _check_field_grid(rho, s)
-    return _cell_edges(rho, 0.0), _cell_edges(s)
-
-
 @dataclass(frozen=True, eq=False)
 class AxiSymField:
     """Axisymmetric function on R^d sampled on a cell-centered (rho, s) grid.

@@ -89,6 +89,38 @@ def test_iterate_gaussian_json_trace(tmp_path, capsys):
     assert len(trace["ratio"]) == n and len(trace["norm"]) == n
 
 
+def test_iterate_indicator_norm_guard(tmp_path, capsys):
+    # the raw norm of every iterate, before the rescale, stays within 5e-3
+    # of the start's (the flow suite's bound); summary.json records it
+    out_dir = tmp_path / "run"
+    code = main(["iterate", "--init", "indicator", "--grid", "512", "--out", str(out_dir)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "norm_conserved: ok" in out
+    with open(out_dir / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["invariants"]["norm_conserved"] is True
+    assert 0.0 <= summary["norm_defect"] <= 5e-3
+    assert summary["warnings"] == []
+
+
+def test_iterate_unbounded_start_warns(tmp_path, capsys):
+    # tail exponent 1.8 < k + 1 = 2 at (1, 3) is admissible (1.8 p > d), but
+    # the S-image is unbounded near the origin: stderr and summary.json say so
+    r = np.geomspace(1e-4, 1e4, 512)
+    path = tmp_path / "start.csv"
+    write_profile(path, RadialProfile(3, r, (1.0 + r**2) ** -0.9, tail_exponent=1.8))
+    out_dir = tmp_path / "run"
+    code = main(["iterate", "--init", str(path), "--grid", "512", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "kplane: warning:" in err and "unbounded near the origin" in err
+    with open(out_dir / "summary.json") as fh:
+        summary = json.load(fh)
+    assert len(summary["warnings"]) == 1
+    assert "unbounded near the origin" in summary["warnings"][0]
+
+
 def test_iterate_profile_from_csv(tmp_path, capsys):
     r = np.geomspace(1e-4, 1e4, 512)
     f = RadialProfile(3, r, (1.0 + 0.5 * r**2) ** -1.8, tail_exponent=3.6)

@@ -211,6 +211,20 @@ def test_line_integral_far_from_center():
     assert abs(float(g.line_integral(p0, e)) / want - 1.0) < 1e-6
 
 
+def test_plane_integral_far_from_center():
+    # at (k, d) = (2, 3) the plane through (6e8, 8e8, 0.25) spanned by e1, e2
+    # passes the center at distance 1/4, so the integral is 2 pi / sqrt(1.0625);
+    # c - beta . G^-1 beta cancels 1e18-sized terms there (it read inf)
+    f = CauchyPowerField.extremizer(TransformParams(2, 3))
+    p0 = np.array([600_000_000.0, 800_000_000.0, 0.25])
+    e1, e2 = np.eye(3)[0], np.eye(3)[1]
+    want = 2.0 * math.pi / math.sqrt(1.0625)
+    assert abs(float(f.plane_integral(p0, e1, e2)) / want - 1.0) < 1e-12
+    # batched over planes, the far plane keeps its own value
+    both = f.plane_integral(np.stack([p0, np.array([0.0, 0.0, 0.25])]), e1, e2)
+    assert np.all(np.isfinite(both)) and abs(both[0] / both[1] - 1.0) < 1e-12
+
+
 def test_drury_on_cauchy_extremizer_far_samples_stay_finite():
     # at (1, 3) the extremizer's f^p is a Cauchy law, and this seed draws a
     # point near |x| = 1e9 whose line integral used to cancel to NaN; the
