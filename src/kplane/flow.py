@@ -125,6 +125,14 @@ _PEAK_LOG_RISE = 0.25
 _PEAK_FIT_NODES = 20
 # sub-piece end levels at which d is tabulated to start the inversion
 _TABLE_LEVELS = 256
+# even d: band pieces adjacent in lo order, read together on one Chebyshev
+# rule in phi^(1/m) when they sit far enough above A = 1 (see _band)
+_BAND_BLOCK = 32
+_BLOCK_NODES = 12
+_BLOCK_APART = 2.0
+# band pieces at least this many piece widths (in A) above A = 1 and at most
+# this wide in log r take 4, then 2 nodes (both then err below 1e-10)
+_TIER1, _TIER2 = (4.0, 0.3), (64.0, 0.02)
 
 
 class _LayerKernel:
@@ -189,10 +197,12 @@ class _LayerKernel:
         band reads it only on whole pieces above their level.
         """
         root = np.sqrt(np.maximum(big_a - 1.0, 1e-300) * (big_a + 1.0))
-        poly = np.zeros_like(big_a)
-        for c in self.poly[::-1]:
+        poly = np.full_like(big_a, self.poly[-1])
+        for c in self.poly[-2::-1]:
             poly = poly * big_a + c
-        return poly * root + self.arcosh * np.log(big_a + root), root ** (self.d - 3) * big_a**3
+        cube = big_a * big_a * big_a
+        slope = cube / root if self.d == 2 else root ** (self.d - 3) * cube
+        return poly * root + self.arcosh * np.log(big_a + root), slope
 
     def slope(self, la: np.ndarray) -> np.ndarray:
         """W'(A) A = (A^2 - 1)^((d-3)/2) A^3 at A = e^la > 1."""
@@ -217,12 +227,13 @@ class _LayerKernel:
         top = lhi > cut
         if np.any(top):
             c0, c1, r = cut[top], lhi[top], lref[top]
+            terms = _power_integral(self.j + s, c0, c1, r, s)
             val[top] = (
-                _power_integral(self.j + s, c0, c1, r, s) @ self.a
+                terms @ self.a
                 + self.c * _power_integral(np.array([s]), c0, c1, r, s)[:, 0]
                 + self.b * _log_power_integral(s, c0, c1, r)
             )
-            der[top] = _power_integral(self.j + s, c0, c1, r, s) @ self.w
+            der[top] = terms @ self.w
         if not self.odd:
             band = llo < np.minimum(lhi, cut)
             if np.any(band):
@@ -373,9 +384,12 @@ class _InversionLayerCake:
     is a sum of powers t^(-j/m) phi^(j/m), so whole sub-pieces enter through
     per-piece moments int phi^(j/m) e^-u du, summed once over the sub-pieces
     sorted by their lower phi value (even d: only where A >= _A_SPLIT; the
-    band between is integrated per (level, sub-piece)). The constant head and
-    the power tail are closed form. d'(t) = -(2 |S^{d-2}| / (m t)) int W'(A) A
-    over the same set, since W(1) = 0 drops the boundary term.
+    band between is integrated per (level, sub-piece), or per block of
+    sub-pieces far from A = 1). A piece with an interior maximum, at levels
+    above both its ends, enters through the one-variable _PeakKernel instead
+    of two crossings. The constant head and the power tail are closed form.
+    d'(t) = -(2 |S^{d-2}| / (m t)) int W'(A) A over the same set, since
+    W(1) = 0 drops the boundary term.
     """
 
     def __init__(self, g: RadialProfile, m: int) -> None:
@@ -443,7 +457,7 @@ class _InversionLayerCake:
         rows.append(np.exp(-ua) * -np.expm1(-self.du))
         if not ker.odd:
             rows.append(np.sum(wd * (m * uu + lg) * np.exp(-uu), axis=1))
-        order = np.argsort(self.lo, kind="stable")
+        order = self.order = np.argsort(self.lo, kind="stable")
         self.lo_sorted = self.lo[order]
         moments = np.array(rows).reshape(len(rows), -1)[:, order]
         self.suffix = np.concatenate(
@@ -481,6 +495,30 @@ class _InversionLayerCake:
                 self.band_rules.append((root, jac * np.exp(-uu)))
             self.lo_root = self.lo ** (1.0 / m)
             self.hi_root = self.hi ** (1.0 / m)
+            # blocks of _BAND_BLOCK pieces adjacent in lo order: the weights of
+            # _BLOCK_NODES Chebyshev points in xi = phi^(1/m) integrate the
+            # interpolant of any function of xi exactly against the pieces'
+            # 8-node rules. A level reads a block through them when the block
+            # lies _BLOCK_APART of its widths above xi = t^(1/m), A = 1, where
+            # interpolating W(xi t^(-1/m)) errs below 1e-12
+            n_blocks = len(order) // _BAND_BLOCK
+            block = order[: n_blocks * _BAND_BLOCK].reshape(n_blocks, _BAND_BLOCK)
+            xi_lo = self.lo_root[block[:, 0]]
+            width = np.maximum(self.hi_root[block].max(axis=1) - xi_lo, 1e-15 * xi_lo)
+            cheb = np.cos(math.pi * (np.arange(_BLOCK_NODES) + 0.5) / _BLOCK_NODES)
+            bary = (-1.0) ** np.arange(_BLOCK_NODES) * np.sqrt(1.0 - cheb**2)
+            root8, weight8 = self.band_rules[0]
+            atoms = root8[block].reshape(n_blocks, 8 * _BAND_BLOCK)
+            atoms = 2.0 * (atoms - xi_lo[:, None]) / width[:, None] - 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                basis = bary / (atoms[:, :, None] - cheb)
+                basis /= basis.sum(axis=2, keepdims=True)
+            self.block_nodes = xi_lo[:, None] + 0.5 * width[:, None] * (cheb + 1.0)
+            self.block_weights = np.einsum(
+                "ba,bak->bk", weight8[block].reshape(n_blocks, 8 * _BAND_BLOCK), np.nan_to_num(basis)
+            )
+            key = xi_lo - _BLOCK_APART * width
+            self.block_floor = np.minimum.accumulate(key[::-1])[::-1]
 
         # head (constant v_0 below r_0) and tail (v_N (r_N/r)^gamma beyond r_N)
         self.r0, self.rn = float(g.radii[0]), float(g.radii[-1])
@@ -544,22 +582,7 @@ class _InversionLayerCake:
                 der += np.bincount(level, weights=weight * k_der, minlength=n)
 
         if not ker.odd:
-            first = ts.searchsorted(self.lo / self.full_factor, side="right")
-            stop = ts.searchsorted(self.lo, side="right")
-            scale = np.exp(-lt / m)
-            for piece, level in _pair_blocks(first, stop, n):
-                a_lo = self.lo_root[piece] * scale[level]
-                a_hi = self.hi_root[piece] * scale[level]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    apart = (a_lo - 1.0) / (a_hi - a_lo)
-                tier = np.where(apart >= 64.0, 2, np.where(apart >= 4.0, 1, 0))
-                for k, (root, weight) in enumerate(self.band_rules):
-                    sel = tier == k
-                    p_sel, l_sel = piece[sel], level[sel]
-                    w_val, w_der = ker.from_a(root[p_sel] * scale[l_sel, None])
-                    wt = weight[p_sel]
-                    val += np.bincount(l_sel, weights=np.sum(wt * w_val, axis=1), minlength=n)
-                    der += np.bincount(l_sel, weights=np.sum(wt * w_der, axis=1), minlength=n)
+            self._band(ts, lt, at, val, der)
 
         # head: A = A_0 sigma / r_0 on (0, r_0]
         if self.phi0 > 0:
@@ -591,6 +614,52 @@ class _InversionLayerCake:
         d_out[order] = self.pre * val
         dd_out[order] = -self.pre * der / (m * ts)
         return d_out, dd_out
+
+    def _band(self, ts, lt, stop, val, der) -> None:
+        """Add the whole sub-pieces with t <= lo < 4^m t (even d) to val, der.
+
+        Sorted by lo they are positions start .. stop - 1 of each level. The
+        blocks that lie far enough above A = 1 from some block on are read
+        through their Chebyshev rules; the rest piece by piece, on 8 graded
+        nodes within 4 piece widths (in A) of A = 1, else on 4 or 2 nodes.
+        """
+        ker, m, n = self.kernel, self.m, len(ts)
+        scale = np.exp(-lt / m)
+        start = self.lo_sorted.searchsorted(ts, side="left")
+        first_block = np.maximum(
+            -(-start // _BAND_BLOCK), self.block_floor.searchsorted(1.0 / scale, side="left")
+        )
+        stop_block = stop // _BAND_BLOCK
+        use = first_block < stop_block
+        cut_lo = np.where(use, first_block * _BAND_BLOCK, stop)
+        cut_hi = np.where(use, stop_block * _BAND_BLOCK, stop)
+        for level, block in _pair_blocks(
+            np.where(use, first_block, 0), np.where(use, stop_block, 0), len(self.block_floor)
+        ):
+            w_val, w_der = ker.from_a(self.block_nodes[block] * scale[level, None])
+            wt = self.block_weights[block]
+            val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
+            der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
+        for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
+            for level, pos in _pair_blocks(lo_pos, hi_pos, len(self.order)):
+                piece = self.order[pos]
+                a_lo = self.lo_root[piece] * scale[level]
+                a_hi = self.hi_root[piece] * scale[level]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    apart = (a_lo - 1.0) / (a_hi - a_lo)
+                du = self.du[piece]
+                tier = np.where(
+                    (apart >= _TIER2[0]) & (du <= _TIER2[1]),
+                    2,
+                    np.where((apart >= _TIER1[0]) & (du <= _TIER1[1]), 1, 0),
+                )
+                for k, (root, weight) in enumerate(self.band_rules):
+                    sel = tier == k
+                    p_sel, l_sel = piece[sel], level[sel]
+                    w_val, w_der = ker.from_a(root[p_sel] * scale[l_sel, None])
+                    wt = weight[p_sel]
+                    val += np.bincount(l_sel, weights=np.sum(wt * w_val, axis=1), minlength=n)
+                    der += np.bincount(l_sel, weights=np.sum(wt * w_der, axis=1), minlength=n)
 
     def _crossed(self, piece, t, lt):
         """Contributions of sub-pieces crossing their levels: (W, W'A) integrals."""
