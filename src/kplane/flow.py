@@ -450,10 +450,16 @@ class _InversionLayerCake:
         # e^-u du. Rows of negative powers overflow for tiny phi and are
         # summed as logs; they only enter above the split, as (t/phi)^(|j|/m)
         uu = ua[:, None] + self.du[:, None] * _GL12_X
-        lg = np.log(ga[:, None] + (gb - ga)[:, None] * _GL12_X)
+        with np.errstate(divide="ignore"):
+            # g may underflow to 0 inside a piece whose lower end is 0; such
+            # a piece (lo = 0) is never whole above a level
+            lg = np.log(ga[:, None] + (gb - ga)[:, None] * _GL12_X)
         wd = self.du[:, None] * _GL12_W
         self.neg = ker.j < 0
-        rows = [np.sum(wd * np.exp((j - 1.0) * uu + (j / m) * lg), axis=1) for j in ker.j[~self.neg]]
+        rows = [
+            np.sum(wd * np.exp((j - 1.0) * uu + (j / m) * lg if j else -uu), axis=1)
+            for j in ker.j[~self.neg]
+        ]
         rows.append(np.exp(-ua) * -np.expm1(-self.du))
         if not ker.odd:
             rows.append(np.sum(wd * (m * uu + lg) * np.exp(-uu), axis=1))
@@ -551,12 +557,15 @@ class _InversionLayerCake:
         sums = self.suffix[:, at]
         j_pos, j_neg = ker.j[~self.neg], ker.j[self.neg]
         n_j = len(j_pos)
-        powers = np.concatenate(
-            [
-                np.exp(-np.outer(j_pos, lt) / m) * sums[:n_j],
-                np.exp(self.log_suffix[:, at] - np.outer(j_neg, lt) / m),
-            ]
-        )
+        # far below the profile's levels d(t) may overflow to inf; such a
+        # level still brackets every target from below
+        with np.errstate(over="ignore"):
+            powers = np.concatenate(
+                [
+                    np.exp(-np.outer(j_pos, lt) / m) * sums[:n_j],
+                    np.exp(self.log_suffix[:, at] - np.outer(j_neg, lt) / m),
+                ]
+            )
         val = ker.a @ powers + ker.c * sums[n_j]
         der = ker.w @ powers
         if not ker.odd:
@@ -612,7 +621,8 @@ class _InversionLayerCake:
         d_out = np.empty(n)
         dd_out = np.empty(n)
         d_out[order] = self.pre * val
-        dd_out[order] = -self.pre * der / (m * ts)
+        with np.errstate(over="ignore"):
+            dd_out[order] = -self.pre * der / (m * ts)
         return d_out, dd_out
 
     def _band(self, ts, lt, stop, val, der) -> None:
@@ -809,10 +819,11 @@ def competing_step(
     the ball volumes of the output radii. The output tail exponent is k+1,
     as for s_symmetry. Without out_radii the output lands on g's own grid.
 
-    rho_grid and s_grid are accepted for callers of the field-based step and
-    ignored. A tail exponent gamma below k+1 gives an image unbounded near
-    the origin (competing_iterate reports it); below (k+1)(d-1)/d its
-    super-level sets are infinite and TailDivergenceError is raised.
+    rho_grid and s_grid, the field grid of the former step, are accepted for
+    existing callers and ignored. A tail exponent gamma below k+1 gives an
+    image unbounded near the origin (competing_iterate reports it); at or
+    below (k+1)(d-1)/d its super-level sets are infinite and
+    TailDivergenceError is raised.
     """
     del rho_grid, s_grid
     out = g.radii if out_radii is None else np.asarray(out_radii, dtype=float)
@@ -848,7 +859,8 @@ def competing_iterate(
     1e-5 per step at 2048 nodes) compounds into a pure amplitude drift over
     hundreds of iterations while the shape stays converged.
 
-    nrho and ns are accepted for callers of the field-based step and ignored.
+    nrho and ns, the field grid of the former step, are accepted for existing
+    callers and ignored.
     """
     del nrho, ns
     mu = lebesgue_measure(params.d)
@@ -859,9 +871,7 @@ def competing_iterate(
     h = extremizer_profile(ExtremizerSpec(params), radii=out_radii)
     norm0 = lp_norm(f0, p, mu)
     target = h.scaled(norm0 / lp_norm(h, p, mu))
-    warning = None
-    if f0.values[-1] > 0:
-        warning = _unbounded_image_warning(f0.tail_exponent, params.k + 1)
+    warning = _unbounded_image_warning(f0.tail_exponent, params.k + 1) if f0.values[-1] > 0 else None
 
     kept = [f0]
     distances = [lp_distance(f0, target, p, mu) / norm0]

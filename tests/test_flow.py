@@ -1,5 +1,7 @@
 """Competing-symmetries iteration: convergence, monotonicity, diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -312,3 +314,15 @@ def test_ellipsoid_check_rejects_zero_field():
     )
     with pytest.raises(ValueError):
         ellipsoid_levelset_check(g)
+
+
+def test_underflowing_start_runs_without_numpy_warnings():
+    # exp(-r^2) underflows to 0 on the default grid, and the bracketing levels
+    # far below the range overflow d(t); neither may leak a RuntimeWarning
+    pr = TransformParams(1, 5)
+    r = default_radial_grid(1024)
+    f = RadialProfile(5, r, np.exp(-(r**2)), tail_exponent=60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = competing_iterate(f, pr, out_radii=r)
+    assert rep.converged and rep.distances[-1] < 1e-4
