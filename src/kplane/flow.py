@@ -839,7 +839,6 @@ def competing_iterate(
     tol: float = 1e-4,
     nrho: int | None = None,
     ns: int | None = None,
-    keep_every: int = 10,
     out_radii: np.ndarray | None = None,
 ) -> ConvergenceReport:
     """Run the iteration from f0 until the successive change drops below tol.
@@ -852,7 +851,8 @@ def competing_iterate(
     as a stationarity probe and discarded, so a run started from the
     extremizer reports zero iterations and zero distance. Iterates live on
     out_radii (package default grid when omitted); f0 itself may sit on any
-    grid, e.g. an exact step profile.
+    grid, e.g. an exact step profile. The report keeps f0, every tenth
+    iterate and the last one.
 
     Both operators are exact isometries, so each iterate is rescaled to the
     initial norm; without this the output grid's interpolation error (about
@@ -891,7 +891,7 @@ def competing_iterate(
         distances.append(lp_distance(g_next, target, p, mu) / norm0)
         ratios.append(functional_ratio(g_next, params))
         norms.append(raw_norm)
-        if n % keep_every == 0:
+        if n % 10 == 0:
             kept.append(g_next)
         g = g_next
         n_done = n

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# the one reading of a profile between its nodes (see RadialProfile)
+_PROFILE_INTERP = "linear-log-r"
+
+
 def sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".json")
 
@@ -99,12 +103,17 @@ def write_profile(path: str | Path, f: RadialProfile) -> None:
         for r, v in zip(f.radii, f.values):
             writer.writerow([f"{r:.17g}", f"{v:.17g}"])
     _write_sidecar(
-        path, {"d": f.d, "tail_exponent": f.tail_exponent, "interp": f.interp}
+        path, {"d": f.d, "tail_exponent": f.tail_exponent, "interp": _PROFILE_INTERP}
     )
 
 
 def read_profile(path: str | Path) -> RadialProfile:
     header = _read_sidecar(path, ("d", "tail_exponent"))
+    interp = header.get("interp", _PROFILE_INTERP)
+    if interp != _PROFILE_INTERP:
+        raise ProfileFormatError(
+            f"{sidecar_path(path)}: unsupported interpolation {interp!r}"
+        )
     data = _parse_rows(path, ("r", "value"))
     try:
         return RadialProfile(
@@ -112,7 +121,6 @@ def read_profile(path: str | Path) -> RadialProfile:
             radii=data[:, 0],
             values=data[:, 1],
             tail_exponent=float(header["tail_exponent"]),
-            interp=header.get("interp", "linear-log-r"),
         )
     except ValueError as exc:
         raise ProfileFormatError(f"{path}: {exc}") from None

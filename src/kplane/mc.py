@@ -67,26 +67,19 @@ def simplex_volume(points: np.ndarray) -> np.ndarray:
     return vol if vol.ndim else float(vol)
 
 
-def sample_point_tuple(
-    rng: np.random.Generator,
-    k: int,
-    d: int,
-    min_last: float = 1e-2,
-    min_volume: float = 1e-2,
-    scale: float = 2.0,
-) -> np.ndarray:
+def sample_point_tuple(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     """One random well-conditioned (k+1)-tuple for the identity checks.
 
-    Coordinates are centered normals; tuples with any last coordinate
-    smaller than min_last in magnitude, or with simplex volume below
-    min_volume, are redrawn. The identities hold off a null set, but
+    Coordinates are centered normals of standard deviation 2; tuples with
+    any last coordinate smaller than 1e-2 in magnitude, or with simplex
+    volume below 1e-2, are redrawn. The identities hold off a null set, but
     near-degenerate tuples lose digits the 1e-10 checks cannot spare.
     """
     while True:
-        pts = scale * rng.standard_normal((k + 1, d))
-        if np.min(np.abs(pts[:, -1])) < min_last:
+        pts = 2.0 * rng.standard_normal((k + 1, d))
+        if np.min(np.abs(pts[:, -1])) < 1e-2:
             continue
-        if simplex_volume(pts) < min_volume:
+        if simplex_volume(pts) < 1e-2:
             continue
         return pts
 
@@ -98,15 +91,41 @@ def _gauss_tan(n_nodes: int):
     return np.tan(phi), 0.5 * math.pi * w / np.cos(phi) ** 2
 
 
+def _line_rule(f, p0: np.ndarray, e: np.ndarray, n_nodes: int) -> np.ndarray:
+    """int f(p0 + lambda e) dlambda by Gauss-Legendre through lambda = tan(phi).
+
+    Vectorized over the leading axes of p0 (and of e, if it has them). The
+    map is centered and scaled by the field's line_focus hint when it has
+    one; otherwise it is centered at the foot point of f.center (the origin
+    without one) with width (1 + distance of the line from it) / |e|.
+    """
+    t, w = _gauss_tan(n_nodes)
+    if hasattr(f, "line_focus"):
+        lam0, width = f.line_focus(p0, e)
+    else:
+        focus = np.asarray(getattr(f, "center", np.zeros(p0.shape[-1])), dtype=float)
+        ee = np.einsum("...i,...i->...", e, e)
+        lam0 = np.einsum("...i,...i->...", focus - p0, e) / ee
+        gap = p0 + lam0[..., None] * e - focus
+        width = (1.0 + np.linalg.norm(gap, axis=-1)) / np.sqrt(ee)
+    lam0, width = np.broadcast_arrays(lam0, width)
+    lam = lam0[..., None] + width[..., None] * t
+    x = p0[..., None, :] + lam[..., None] * e[..., None, :]
+    return np.add.reduce(f.value(x) * w, axis=-1) * width
+
+
 def span_integral(f, points: np.ndarray, n_nodes: int = 48) -> float:
     """Integral of f over the affine span of k+1 points, lambda coordinates.
 
     For k = 1 this is int f(x0 + lambda (x1 - x0)) dlambda; k = 2 adds a
-    second direction and a tensor rule. The substitution lambda = tan(phi)
-    maps the real line onto a finite panel; the map is centered and scaled
-    by the field's line_focus/plane_quadratic hints when it has them, which
-    makes the rule exact for the reciprocal-quadratic family. Surface
-    integrals differ by the parallelepiped volume of the direction vectors.
+    second direction. The substitution lambda = tan(phi) maps the real line
+    onto a finite panel; the map is centered and scaled by the field's hints
+    when it has them: line_focus on a line, and on a plane plane_focus, the
+    foot point lambda*, the matrix G and the minimum c* of the quadratic
+    along it. Both make the rule exact for the reciprocal-quadratic family.
+    Without hints a line centers on the foot point of f.center and a plane
+    takes a tensor tan rule there. Surface integrals differ by the
+    parallelepiped volume of the direction vectors.
     """
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0] - 1
@@ -117,26 +136,19 @@ def span_integral(f, points: np.ndarray, n_nodes: int = 48) -> float:
         raise DivergenceError(
             f"tail exponent {tail} must exceed k = {k} for a finite span integral"
         )
-    t, w = _gauss_tan(n_nodes)
     x0 = pts[0]
     if k == 1:
-        e = pts[1] - x0
-        if hasattr(f, "line_focus"):
-            lam0, width = f.line_focus(x0, e)
-        else:
-            focus = np.asarray(getattr(f, "center", np.zeros_like(x0)), dtype=float)
-            lam0 = float((focus - x0) @ e) / float(e @ e)
-            width = (1.0 + np.linalg.norm(x0 + lam0 * e - focus)) / np.linalg.norm(e)
-        lam = lam0 + width * t
-        return float(np.add.reduce(f.value(x0 + lam[:, None] * e) * w) * width)
+        return float(_line_rule(f, x0, pts[1] - x0, n_nodes))
     e1, e2 = pts[1] - x0, pts[2] - x0
-    if hasattr(f, "plane_quadratic"):
-        # Whiten the quadratic and integrate in polar coordinates; a tensor
-        # tan rule would see integrable corner spikes, while the radial tan
-        # map below is exact on the reciprocal-quadratic family itself.
-        G, beta, c0 = f.plane_quadratic(x0, e1, e2)
-        lam0 = -np.linalg.solve(G, beta)
-        c_star = float(c0 + beta @ lam0)
+    if hasattr(f, "plane_focus"):
+        # Whiten the quadratic about the foot point and integrate in polar
+        # coordinates; a tensor tan rule would see integrable corner spikes,
+        # while the radial tan map below is exact on the reciprocal-quadratic
+        # family itself. The nodes are offsets from the foot point, so a
+        # plane far from the origin keeps their digits.
+        lam0, G, c_star = f.plane_focus(x0, e1, e2)
+        c_star = float(c_star)
+        foot = x0 + lam0[0] * e1 + lam0[1] * e2
         l_inv = np.linalg.inv(np.linalg.cholesky(G))
         xg, wg = np.polynomial.legendre.leggauss(n_nodes)
         phi = 0.25 * math.pi * (xg + 1.0)
@@ -144,12 +156,13 @@ def span_integral(f, points: np.ndarray, n_nodes: int = 48) -> float:
         dr = 0.25 * math.pi * wg * math.sqrt(c_star) / np.cos(phi) ** 2
         psi = (np.arange(2 * n_nodes) + 0.5) * (math.pi / n_nodes)
         u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        lam = lam0 + (r[:, None, None] * u[None, :, :]) @ l_inv
-        x = x0 + lam[..., :1] * e1 + lam[..., 1:] * e2
+        lam = (r[:, None, None] * u[None, :, :]) @ l_inv
+        x = foot + lam[..., :1] * e1 + lam[..., 1:] * e2
         ang_mean = np.add.reduce(f.value(x), axis=1) * (math.pi / n_nodes)
         return float(
             np.add.reduce(ang_mean * r * dr) / math.sqrt(float(np.linalg.det(G)))
         )
+    t, w = _gauss_tan(n_nodes)
     focus = np.asarray(getattr(f, "center", np.zeros_like(x0)), dtype=float)
     B = np.stack([e1, e2], axis=1)
     lam0, *_ = np.linalg.lstsq(B, focus - x0, rcond=None)
@@ -203,7 +216,7 @@ def inversion_span_gap(f, points: np.ndarray, n_nodes: int = 64) -> float:
 class MCEstimate:
     """A Monte Carlo value with its standard error and provenance.
 
-    Deterministic given (seed, n_samples) and the block size: sample blocks
+    Deterministic given (seed, n_samples): sample blocks of a fixed size
     draw from counter-based streams keyed by (seed, block index) and are
     reduced in fixed order. n_samples counts accepted tuples; n_rejected
     the discarded ones (degenerate or too close to the bad set).
@@ -225,12 +238,15 @@ class MCEstimate:
         }
 
 
+# samples per counter-based stream; the estimates depend on it
+_MC_BLOCK = 65536
+
+
 def drury_norm_mc(
     f,
     params: TransformParams,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    block_size: int = 65536,
 ) -> MCEstimate:
     """||R f||_q^q by importance-sampled Drury formula, for k = 1, d in {2, 3}.
 
@@ -250,7 +266,8 @@ def drury_norm_mc(
 
     Tuples with a last coordinate inside 1e-8 or with nearly coincident
     points are rejected and counted; the excluded set has null measure, so
-    the estimate is unaffected beyond the reported count.
+    the estimate is unaffected beyond the reported count. The estimate is
+    deterministic given (seed, n_samples).
     """
     if params.k != 1 or params.d not in (2, 3):
         raise ValueError("the Monte Carlo route covers k = 1 with d in {2, 3}")
@@ -263,9 +280,9 @@ def drury_norm_mc(
     s2 = 0.0
     accepted = 0
     rejected = 0
-    n_blocks = -(-n_samples // block_size)
+    n_blocks = -(-n_samples // _MC_BLOCK)
     for blk in range(n_blocks):
-        m = min(block_size, n_samples - blk * block_size)
+        m = min(_MC_BLOCK, n_samples - blk * _MC_BLOCK)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, blk], dtype=np.uint64))
         )
@@ -309,7 +326,6 @@ def radon2d_direct(
     n_angles: int = 64,
     n_offsets: int = 192,
     t_grid: tuple[np.ndarray, np.ndarray] | None = None,
-    line_nodes: int = 64,
 ) -> float:
     """||R f||_q^q in d = 2 by quadrature over (angle, signed offset).
 
@@ -319,7 +335,8 @@ def radon2d_direct(
     along the normal. The default offset rule maps Gauss-Legendre through
     tan; pass t_grid = (nodes, weights) to resolve special structure such
     as an indicator's support edge. Per-line integrals use the field's
-    exact line_integral when present, span quadrature otherwise.
+    exact line_integral when present, otherwise span_integral's line rule
+    on 64 nodes.
     """
     if params.k != 1 or params.d != 2:
         raise ValueError("the direct oracle is the d = 2 line transform")
@@ -331,9 +348,6 @@ def radon2d_direct(
     q = params.qf
     theta = (np.arange(n_angles) + 0.5) * math.pi / n_angles
     total = 0.0
-    lam = width = None
-    if not hasattr(f, "line_integral"):
-        lam, lw = _gauss_tan(line_nodes)
     for th in theta:
         e = np.array([math.cos(th), math.sin(th)])
         nrm = np.array([-math.sin(th), math.cos(th)])
@@ -341,15 +355,6 @@ def radon2d_direct(
         if hasattr(f, "line_integral"):
             rline = f.line_integral(p0, e)
         else:
-            if hasattr(f, "line_focus"):
-                lam0, width = f.line_focus(p0, e)
-            else:
-                focus = np.asarray(getattr(f, "center", np.zeros(2)), dtype=float)
-                lam0 = (focus - p0) @ e
-                width = 1.0 + np.abs(t - focus @ nrm)
-            lam0 = np.broadcast_to(np.asarray(lam0, dtype=float), t.shape)
-            width = np.broadcast_to(np.asarray(width, dtype=float), t.shape)
-            pts = p0[:, None, :] + (lam0[:, None] + width[:, None] * lam)[..., None] * e
-            rline = np.add.reduce(f.value(pts) * lw, axis=1) * width
+            rline = _line_rule(f, p0, e, 64)
         total += float(np.add.reduce(rline**q * tw))
     return total / n_angles

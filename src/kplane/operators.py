@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as sf
@@ -222,8 +221,13 @@ def s_symmetry(g: AxiSymField, params: TransformParams) -> AxiSymField:
     stay finite, and the returned field carries a warning string.
     """
     m = params.k + 1
+
+    def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
+        a = np.abs(s_q)
+        return a ** (-m) * np.asarray(g.point_value(rho_q / a, 1.0 / s_q), dtype=float)
+
     return field_from_function(
-        _inverted(g.point_value, m), g.d, g.rho, g.s, float(m),
+        ev, g.d, g.rho, g.s, float(m),
         warning=_unbounded_image_warning(g.tail_exponent, m),
     )
 
@@ -236,18 +240,6 @@ def _unbounded_image_warning(tail_exponent: float, m: int) -> str | None:
         f"input tail exponent {tail_exponent} < k+1 = {m}: "
         "inversion image is unbounded near the origin"
     )
-
-
-def _inverted(
-    base: Callable[[np.ndarray, np.ndarray], np.ndarray], m: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The pointwise rule (rho, s) -> |s|^-m base(rho/|s|, 1/s) of s_symmetry."""
-
-    def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
-        a = np.abs(s_q)
-        return a ** (-m) * np.asarray(base(rho_q / a, 1.0 / s_q), dtype=float)
-
-    return ev
 
 
 def rearrange(g: AxiSymField, out_radii: np.ndarray | None = None) -> RadialProfile:

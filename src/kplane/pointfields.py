@@ -192,39 +192,14 @@ class CauchyPowerField:
         k = self.k
         return self.amplitude * sf.beta(0.5, k / 2.0) * a**-0.5 * c_star ** (-k / 2.0)
 
-    def plane_quadratic(self, p0, e1, e2):
-        """(G, beta, c) of the quadratic along x = p0 + lambda1 e1 + lambda2 e2."""
-        z0 = _homogeneous(p0)
-        ws = [
-            np.concatenate(
-                [np.asarray(e, dtype=float), np.zeros(np.shape(e)[:-1] + (1,))], axis=-1
-            )
-            for e in (e1, e2)
-        ]
-        G = np.stack(
-            [
-                np.stack(
-                    [np.einsum("...i,ij,...j->...", wa, self.matrix, wb) for wb in ws],
-                    axis=-1,
-                )
-                for wa in ws
-            ],
-            axis=-2,
-        )
-        beta = np.stack(
-            [np.einsum("...i,ij,...j->...", z0, self.matrix, w) for w in ws], axis=-1
-        )
-        return G, beta, _quad_form(self.matrix, z0)
+    def plane_focus(self, p0, e1, e2):
+        """(lambda*, G, c*) of the quadratic along x = p0 + lambda1 e1 + lambda2 e2.
 
-    def plane_integral(self, p0, e1, e2):
-        """int f(p0 + lambda1 e1 + lambda2 e2) dlambda, requires k = 2.
-
-        The minimum of the quadratic over the plane is read at its foot point
-        p0 + E lambda, G lambda = -beta, as line_integral reads it on a line;
+        [x;1]^T P [x;1] = (lambda - lambda*)^T G (lambda - lambda*) + c* there.
+        The minimum c* is read at the plane's foot point p0 + E lambda*,
+        G lambda* = -beta, as _line_minimum reads it on a line:
         c - beta . G^-1 beta cancels for planes far from the center.
         """
-        if self.k != 2:
-            raise ValueError("closed-form plane integral needs decay exponent 3 (k = 2)")
         A = self._A  # type: ignore[attr-defined]
         E = np.stack([np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)], axis=-1)
         delta = np.asarray(p0, dtype=float) - self.center
@@ -233,7 +208,13 @@ class CauchyPowerField:
         beta = np.einsum("...ij,...i->...j", AE, delta)
         lam = -np.linalg.solve(G, beta[..., None])[..., 0]
         foot = delta + np.einsum("...ij,...j->...i", E, lam)
-        c_star = self._c_min + _quad_form(A, foot)  # type: ignore[attr-defined]
+        return lam, G, self._c_min + _quad_form(A, foot)  # type: ignore[attr-defined]
+
+    def plane_integral(self, p0, e1, e2):
+        """int f(p0 + lambda1 e1 + lambda2 e2) dlambda, requires k = 2."""
+        if self.k != 2:
+            raise ValueError("closed-form plane integral needs decay exponent 3 (k = 2)")
+        _, G, c_star = self.plane_focus(p0, e1, e2)
         return self.amplitude * 2.0 * math.pi / np.sqrt(np.linalg.det(G) * c_star)
 
 

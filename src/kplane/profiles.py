@@ -117,7 +117,6 @@ class RadialProfile:
     radii: np.ndarray
     values: np.ndarray
     tail_exponent: float
-    interp: str = "linear-log-r"
 
     def __post_init__(self) -> None:
         radii = np.ascontiguousarray(self.radii, dtype=float)
@@ -136,8 +135,6 @@ class RadialProfile:
             raise ValueError("values must be finite and nonnegative")
         if not (self.tail_exponent > 0 and math.isfinite(self.tail_exponent)):
             raise ValueError(f"tail exponent must be positive, got {self.tail_exponent}")
-        if self.interp != "linear-log-r":
-            raise ValueError(f"unsupported interpolation {self.interp!r}")
         object.__setattr__(self, "_log_radii", np.log(radii))
 
     @property
@@ -189,16 +186,18 @@ def default_radial_grid(
     return np.geomspace(span[0], span[1], n)
 
 
+_STEP_GAP = 1e-12
+
+
 def step_profile(
     d: int,
     breaks: Sequence[float],
     levels: Sequence[float],
     tail_exponent: float = 10.0,
-    rel_gap: float = 1e-12,
 ) -> RadialProfile:
     """Piecewise-constant profile: levels[i] on [breaks[i-1], breaks[i]), 0 beyond.
 
-    Each jump is encoded as a node pair at breaks[i]*(1 -+ rel_gap), so the
+    Each jump is encoded as a node pair at breaks[i]*(1 -+ 1e-12), so the
     canonical PL interpretation reproduces the step function up to slivers of
     relative width 1e-12 (far below every tolerance in the package).
     """
@@ -212,7 +211,7 @@ def step_profile(
     vals: list[float] = []
     next_levels = levels[1:] + [0.0]
     for b, lo_val, hi_val in zip(breaks, levels, next_levels):
-        radii.extend([b * (1 - rel_gap), b * (1 + rel_gap)])
+        radii.extend([b * (1 - _STEP_GAP), b * (1 + _STEP_GAP)])
         vals.extend([lo_val, hi_val])
     return RadialProfile(d, np.array(radii), np.array(vals), tail_exponent)
 
@@ -386,25 +385,26 @@ def default_field_grid(
     return rho, s
 
 
+_GRID_STRETCH = 4.0
+
+
 def graded_field_grid(
     radius: float = DEFAULT_FIELD_RADIUS,
     nrho: int = 1024,
     ns: int = 1024,
-    strength: float = 4.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell-centered (rho, s) grid graded toward the origin by a sinh stretch.
 
-    strength 4 packs cells about seven times tighter near 0 than the uniform
-    grid with the same counts, where the peaked iterates of the flow put the
-    curvature that the rearrangement's cellwise-linear model resolves worst.
-    strength 0 falls back to the uniform grid.
+    The stretch sinh(4 x) / sinh(4) packs cells about seven times tighter
+    near 0 than the uniform grid with the same counts, where peaked fields
+    put the curvature that the rearrangement's cellwise-linear model
+    resolves worst.
     """
     if ns % 2:
         raise ValueError("ns must be even (no node may sit at s = 0)")
-    if strength <= 0:
-        return default_field_grid(radius, nrho, ns)
-    e_rho = radius * np.sinh(strength * np.linspace(0.0, 1.0, nrho + 1)) / math.sinh(strength)
-    e_s = radius * np.sinh(strength * np.linspace(0.0, 1.0, ns // 2 + 1)) / math.sinh(strength)
+    a = _GRID_STRETCH
+    e_rho = radius * np.sinh(a * np.linspace(0.0, 1.0, nrho + 1)) / math.sinh(a)
+    e_s = radius * np.sinh(a * np.linspace(0.0, 1.0, ns // 2 + 1)) / math.sinh(a)
     rho = 0.5 * (e_rho[:-1] + e_rho[1:])
     s_half = 0.5 * (e_s[:-1] + e_s[1:])
     return rho, np.concatenate([-s_half[::-1], s_half])
@@ -585,16 +585,11 @@ def field_from_function(
 
 def embed_radial(f: RadialProfile, rho_grid: np.ndarray, s_grid: np.ndarray) -> AxiSymField:
     """Read a radial profile as the axisymmetric field f(sqrt(rho^2 + s^2))."""
-    return field_from_function(_embedded(f), f.d, rho_grid, s_grid, f.tail_exponent)
-
-
-def _embedded(f: RadialProfile) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The pointwise rule (rho, s) -> f(sqrt(rho^2 + s^2)) of embed_radial."""
 
     def ev(rho_q: np.ndarray, s_q: np.ndarray) -> np.ndarray:
         return np.asarray(f.evaluate(np.hypot(rho_q, s_q)), dtype=float)
 
-    return ev
+    return field_from_function(ev, f.d, rho_grid, s_grid, f.tail_exponent)
 
 
 def _field_norm_power(field: AxiSymField, p: float) -> float:
@@ -617,34 +612,6 @@ def _field_norm_power(field: AxiSymField, p: float) -> float:
                 content += wg * vg * fv**p * RR ** (field.d - 2)
         inside = sphere_area(field.d - 1) * float(drho @ content @ ds)
     return inside + field.exterior_norm_power(p)
-
-
-def _sample_corners(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], re: np.ndarray, se: np.ndarray
-) -> np.ndarray:
-    """fn sampled at the cell corners, the re x se edge grid.
-
-    The s = 0 edge is nudged slightly off the axis: the inversion closure is
-    singular there and the fields of interest are even in s.
-    """
-    ss = se.copy()
-    on_axis = np.abs(ss) < 1e-9 * ss[-1]
-    if np.any(on_axis):
-        ss[on_axis] = 1e-6 * np.min(np.diff(se))
-    rr_g, ss_g = np.meshgrid(re, ss, indexing="ij")
-    return np.asarray(fn(rr_g, ss_g), dtype=float)
-
-
-def _corner_values(field: AxiSymField) -> np.ndarray:
-    """Field values at the cell corners (rho_edges x s_edges grid).
-
-    With an evaluator the corners are sampled exactly. Without one, adjacent
-    cell values are averaged, which smooths steps by one cell.
-    """
-    if field.evaluator is not None:
-        return _sample_corners(field.evaluator, field.rho_edges, field.s_edges)
-    pad = np.pad(field.values, 1, mode="edge")
-    return 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
 
 
 def _tri_rho_mean(r1, r2, r3, m: int):
@@ -670,7 +637,7 @@ _BLOCK_CELLS = 1 << 15
 
 def _field_level_table(
     d: int, re: np.ndarray, se: np.ndarray, corners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Super-level-set measures of the corner-interpolated field in R^d.
 
     Splits every cell of the re x se edge grid into two triangles, reads the
@@ -689,23 +656,25 @@ def _field_level_table(
     grid does not resolve (flat), or whose middle value ties an end, are
     sorted and binned one by one. Every corner's bin position is taken once.
 
-    Corner values must be finite and nonnegative. Returns (levels, measures)
-    with levels increasing and measures nonincreasing; measures[i] is the
-    Lebesgue measure of {f > levels[i]} inside the box.
+    Corner values must be finite and nonnegative. Returns (levels, measures,
+    v_cut) with levels increasing and measures nonincreasing; measures[i] is
+    the Lebesgue measure of {f > levels[i]} inside the box. v_cut is the
+    largest value on the boundary ring, below which super-level sets leave
+    the box; the levels start at max(1e-14 max f, 1e-2 v_cut), since the
+    rearrangement reads none below v_cut.
     """
     vmax = float(corners.max())
     if not (math.isfinite(vmax) and np.all(corners >= 0.0)):
         raise ValueError("field values must be finite and nonnegative")
     if vmax <= 0.0:
         levels = np.array([0.0, 1.0])
-        return levels, np.zeros(2)
+        return levels, np.zeros(2), 0.0
+    v_cut = float(max(corners[-1, :].max(), corners[:, 0].max(), corners[:, -1].max()))
     # corner values 100 decades below the peak (Gaussian tails underflow to
     # subnormals) sit far under the level-table floor but give triangle
     # spreads whose 1/s^2 curvature overflows; clamp them to exact zero
     corners = np.where(corners > vmax * 1e-100, corners, 0.0)
 
-    boundary = np.concatenate([corners[-1, :], corners[:, 0], corners[:, -1]])
-    v_cut = float(boundary.max())
     lo = vmax * 1e-14 if v_cut <= 0 else max(vmax * 1e-14, v_cut * 1e-2)
     n_edges = _N_LEVEL_EDGES
     edges = np.geomspace(lo, vmax * (1.0 + 1e-12), n_edges)
@@ -834,31 +803,36 @@ def _field_level_table(
     step_tail = np.concatenate([np.cumsum(steps[::-1])[::-1][1:], [0.0]])
     measures = measures + step_tail
     measures = np.maximum.accumulate(measures[::-1])[::-1]
-    return edges, measures
+    return edges, measures, v_cut
 
 
-def _rearrange_corners(
-    d: int,
-    re: np.ndarray,
-    se: np.ndarray,
-    corners: np.ndarray,
-    tail_exponent: float,
-    out_radii: np.ndarray,
-) -> RadialProfile:
-    """Symmetric decreasing rearrangement of a field read from its corner values.
+def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProfile:
+    """Symmetric decreasing rearrangement of a field onto a radial grid.
 
-    corners holds the field on the re x se edge grid. Inverts the
-    corner-triangulated level table (ball volume -> value) inside the level
-    of the largest boundary-ring value. Below that level the super-level
-    sets spill out of the box, so the output follows the field's declared
-    power tail anchored at the cut radius.
+    Reads the field at its cell corners: exactly through the evaluator, with
+    the s = 0 edge nudged slightly off the axis (the inversion closure is
+    singular there and the fields of interest are even in s), or, without
+    one, as the mean of the adjacent cell values, which smooths steps by one
+    cell. Inverts the corner-triangulated level table (ball volume -> value)
+    inside the level v_cut of the largest boundary-ring value. Below v_cut
+    the super-level sets spill out of the box, so the output follows the
+    field's declared power tail anchored at the cut radius.
     """
-    levels, measures = _field_level_table(d, re, se, corners)
+    d, re, se = field.d, field.rho_edges, field.s_edges
+    if field.evaluator is not None:
+        ss = se.copy()
+        on_axis = np.abs(ss) < 1e-9 * ss[-1]
+        if np.any(on_axis):
+            ss[on_axis] = 1e-6 * np.min(np.diff(se))
+        rr_g, ss_g = np.meshgrid(re, ss, indexing="ij")
+        corners = np.asarray(field.evaluator(rr_g, ss_g), dtype=float)
+    else:
+        pad = np.pad(field.values, 1, mode="edge")
+        corners = 0.25 * (pad[:-1, :-1] + pad[1:, :-1] + pad[:-1, 1:] + pad[1:, 1:])
+    levels, measures, v_cut = _field_level_table(d, re, se, corners)
+    tail_exponent = field.tail_exponent
     if measures[0] <= 0.0:
         return RadialProfile(d, out_radii, np.zeros_like(out_radii), tail_exponent)
-    v_cut = float(
-        max(corners[-1, :].max(), corners[:, 0].max(), corners[:, -1].max())
-    )
     if v_cut > 0:
         m_cut = float(np.interp(v_cut, levels, measures))
     else:
@@ -870,14 +844,6 @@ def _rearrange_corners(
         tail_vals = v_cut * (r_cut / out_radii) ** tail_exponent
     out_vals = np.where(out_radii <= r_cut, inside, tail_vals)
     return RadialProfile(d, out_radii, out_vals, tail_exponent)
-
-
-def _rearranged_profile(field: AxiSymField, out_radii: np.ndarray) -> RadialProfile:
-    """Symmetric decreasing rearrangement of a field onto a radial grid."""
-    return _rearrange_corners(
-        field.d, field.rho_edges, field.s_edges, _corner_values(field),
-        field.tail_exponent, out_radii,
-    )
 
 
 def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None:

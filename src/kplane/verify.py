@@ -64,6 +64,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self) -> None:
+        # a numpy comparison gives numpy.bool_, which json cannot write
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _result(name: str, measured: float, bound: float, fmt: str = "{:.3e}") -> CheckResult:
     detail = (fmt + " (bound " + fmt + ")").format(measured, bound)
@@ -80,9 +84,8 @@ def _bump_mix_profile(
     d: int,
     radii: np.ndarray,
     monotone: bool = False,
-    n_bumps: int = 3,
 ) -> RadialProfile:
-    """Sum of smooth power-decay bumps with random scales and weights.
+    """Sum of three smooth power-decay bumps with random scales and weights.
 
     With monotone=False some bumps are rings (an r^e factor, e in {1, 2}),
     so the profile is genuinely non-monotone and the rearrangement has work
@@ -90,7 +93,7 @@ def _bump_mix_profile(
     """
     t = float(rng.uniform(2.2, 5.0))
     vals = np.zeros_like(radii)
-    for _ in range(n_bumps):
+    for _ in range(3):
         lam = float(rng.uniform(0.3, 3.0))
         amp = float(rng.uniform(0.2, 2.0))
         e = 0 if monotone else int(rng.integers(0, 3))

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from kplane import RadialProfile, write_profile
+from kplane import RadialProfile, verify, write_profile
 from kplane.cli import _THREAD_VARS, main
 
 
@@ -164,8 +164,18 @@ def test_iterate_dimension_mismatch(tmp_path, capsys):
     assert "d = 2" in err and "d = 3" in err
 
 
-def test_verify_symmetry_csv(capsys):
+def test_verify_symmetry_csv(capsys, monkeypatch, verify_run):
+    # the CLI formats the session's seed-0 symmetry run instead of running
+    # it again; the call must ask for exactly that run
+    calls = []
+
+    def session_run(suite, seed, n_samples):
+        calls.append((suite, seed, n_samples))
+        return verify_run(suite)[0]
+
+    monkeypatch.setattr(verify, "run_suite", session_run)
     code = main(["verify", "--suite", "symmetry"])
+    assert calls == [("symmetry", 0, 1_000_000)]
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
@@ -182,6 +192,25 @@ def test_verify_symmetry_json(capsys):
     assert payload["suite"] == "symmetry" and payload["seed"] == 3
     assert payload["all_pass"] is True
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_verify_all_json(capsys, monkeypatch, verify_run):
+    # every suite's checks reach the JSON report as JSON values (the flow
+    # suite's numpy comparisons once made json.dump raise); the suites hand
+    # back their session runs, which are made before the suites are replaced
+    runs = {name: verify_run(name)[0] for name in verify.SUITE_NAMES[1:]}
+    for name in runs:
+
+        def session_suite(seed, name=name, **kwargs):
+            return runs[name]
+
+        monkeypatch.setitem(verify._SUITES, name, session_suite)
+    code = main(["verify", "--suite", "all", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["all_pass"] is True
+    assert len(payload["checks"]) == 24
+    assert all(c["passed"] is True for c in payload["checks"])
 
 
 def test_suite_choices_match_verify():

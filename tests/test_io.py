@@ -34,7 +34,9 @@ def test_profile_round_trip_exact(tmp_path):
     g = read_profile(path)
     assert g.d == f.d
     assert g.tail_exponent == f.tail_exponent
-    assert g.interp == f.interp
+    # the reading between nodes travels with the data
+    mid = np.sqrt(f.radii[:-1] * f.radii[1:])
+    assert np.array_equal(g.evaluate(mid), f.evaluate(mid))
     # 17 significant digits make the float round trip exact
     assert np.array_equal(g.radii, f.radii)
     assert np.array_equal(g.values, f.values)
@@ -47,6 +49,17 @@ def test_profile_sidecar_contents(tmp_path):
     with open(sidecar_path(path)) as fh:
         header = json.load(fh)
     assert header == {"d": 3, "tail_exponent": 3.0, "interp": "linear-log-r"}
+
+
+def test_profile_sidecar_rejects_other_interpolation(tmp_path):
+    path = tmp_path / "prof.csv"
+    write_profile(path, sample_profile())
+    side = sidecar_path(path)
+    header = json.loads(side.read_text())
+    header["interp"] = "cubic"
+    side.write_text(json.dumps(header))
+    with pytest.raises(ProfileFormatError, match="prof.json.*unsupported interpolation 'cubic'"):
+        read_profile(path)
 
 
 def test_field_round_trip_exact(tmp_path):

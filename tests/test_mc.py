@@ -138,6 +138,17 @@ def test_span_integral_plane_matches_closed_form():
     assert abs(got / expect - 1.0) < 1e-10
 
 
+def test_span_integral_plane_far_from_center():
+    # the plane through (6e8, 8e8, 0.25) spanned by e1, e2 at (2, 3) sits at
+    # distance 0.25 from the center: 2 pi / sqrt(1 + 0.25^2). Its minimum is
+    # read at the foot point, where c - beta . G^-1 beta cancels to 0
+    f = CauchyPowerField.extremizer(TransformParams(2, 3))
+    x0 = np.array([6e8, 8e8, 0.25])
+    pts = np.array([x0, x0 + [1.0, 0.0, 0.0], x0 + [0.0, 1.0, 0.0]])
+    expect = 2.0 * math.pi / math.sqrt(1.0625)
+    assert abs(span_integral(f, pts) - expect) < 1e-10
+
+
 def test_span_integral_unhinted_line():
     # a value-only object exercises the fallback centering on .center
     class Bump:
@@ -362,6 +373,24 @@ def test_radon2d_direct_matches_mc_consistency():
     a = radon2d_direct(f, pr)
     b = radon2d_direct(shifted, pr, n_offsets=384)
     assert abs(a / b - 1.0) < 1e-9
+
+
+def test_radon2d_direct_value_only_matches_exact_lines():
+    # a value-only field takes span_integral's line rule on every line; the
+    # same bump through its exact line_integral reads the same norm. The
+    # offset rule is shared, so the gap is the line rule's own error (about
+    # 3e-12 relative here)
+    pr = TransformParams(1, 2)
+    g = GaussianBump(np.array([0.4, -0.7]), np.array([[1.0, 0.3], [0.3, 2.5]]), 1.3)
+
+    class ValueOnly:
+        center = g.center
+
+        def value(self, x):
+            return g.value(x)
+
+    exact = radon2d_direct(g, pr)
+    assert abs(radon2d_direct(ValueOnly(), pr) / exact - 1.0) < 1e-10
 
 
 def test_radon2d_direct_rejects_other_dimensions():

@@ -26,13 +26,15 @@ def test_unknown_suite():
 
 def test_all_runs_every_suite_in_order(verify_run, monkeypatch):
     # run_suite("all") dispatches to every suite in turn; each suite hands
-    # back its shared session run instead of running again
+    # back its shared session run instead of running again. The runs are
+    # made before the suites are replaced: verify_run itself calls run_suite
+    runs = {name: verify_run(name)[0] for name in SUITE_NAMES[1:]}
     calls = []
-    for name in SUITE_NAMES[1:]:
+    for name in runs:
 
         def recorded(seed, name=name, **kwargs):
             calls.append((name, seed))
-            return verify_run(name)[0]
+            return runs[name]
 
         monkeypatch.setitem(verify._SUITES, name, recorded)
     results = run_suite("all", seed=0)
