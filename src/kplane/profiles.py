@@ -199,7 +199,9 @@ def step_profile(
 
     Each jump is encoded as a node pair at breaks[i]*(1 -+ 1e-12), so the
     canonical PL interpretation reproduces the step function up to slivers of
-    relative width 1e-12 (far below every tolerance in the package).
+    relative width 1e-12 (far below every tolerance in the package). Breaks
+    closer than that keep each pair inside the midpoints to their neighbours;
+    nodes that then coincide are merged, keeping the last value.
     """
     breaks = list(map(float, breaks))
     levels = list(map(float, levels))
@@ -207,13 +209,14 @@ def step_profile(
         raise ValueError("need one level per break")
     if not all(b > 0 for b in breaks) or sorted(breaks) != breaks or len(set(breaks)) != len(breaks):
         raise ValueError("breaks must be positive and strictly increasing")
-    radii: list[float] = []
-    vals: list[float] = []
-    next_levels = levels[1:] + [0.0]
-    for b, lo_val, hi_val in zip(breaks, levels, next_levels):
-        radii.extend([b * (1 - _STEP_GAP), b * (1 + _STEP_GAP)])
-        vals.extend([lo_val, hi_val])
-    return RadialProfile(d, np.array(radii), np.array(vals), tail_exponent)
+    b = np.array(breaks)
+    mid = 0.5 * (b[:-1] + b[1:])
+    lo = np.maximum(b * (1 - _STEP_GAP), np.concatenate([[0.0], mid]))
+    hi = np.minimum(b * (1 + _STEP_GAP), np.concatenate([mid, [math.inf]]))
+    radii = np.column_stack([lo, hi]).ravel()
+    vals = np.column_stack([levels, levels[1:] + [0.0]]).ravel()
+    keep = np.append(radii[1:] > radii[:-1], True)
+    return RadialProfile(d, radii[keep], vals[keep], tail_exponent)
 
 
 def indicator_profile(d: int, radius: float = 1.0) -> RadialProfile:

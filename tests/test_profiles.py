@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta
 
@@ -453,6 +453,8 @@ def test_interpolation_check():
     levels=st.lists(st.floats(0.05, 3.0, allow_nan=False), min_size=4, max_size=4),
     p=st.floats(1.05, 2.5),
 )
+# breaks one ulp apart: closer than the node pair that encodes each jump
+@example(breaks=[0.1, 0.10000000000000002], levels=[1.0, 1.0, 1.0, 1.0], p=2.0)
 def test_lorentz_layer_cake_on_steps(breaks, levels, p):
     breaks = sorted(breaks)
     f = step_profile(2, breaks, levels[: len(breaks)])
