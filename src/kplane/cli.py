@@ -33,6 +33,8 @@ _THREAD_VARS = (
 
 _SUITE_CHOICES = ("all", "rearrange", "lorentz", "symmetry", "drury", "flow")
 _PRESETS = ("h", "indicator", "gaussian")
+# the least value of each numeric option that has one; every value must be finite
+_FLOORS = {"grid": 1, "samples": 2, "iters": 0, "tol": 0.0}
 
 
 def _apply_thread_cap() -> None:
@@ -224,23 +226,8 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         print(f"kplane: warning: {warning}", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
-    if args.format == "json":
-        trace_path = os.path.join(args.out, "trace.json")
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "n": list(range(len(report.distances))),
-                    "distance": report.distances.tolist(),
-                    "ratio": report.ratios.tolist(),
-                    "norm": report.norms.tolist(),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-    else:
-        trace_path = os.path.join(args.out, "trace.csv")
-        kio.write_trace(trace_path, report.distances, report.ratios, report.norms)
+    trace_path = os.path.join(args.out, f"trace.{args.format}")
+    kio.write_trace(trace_path, report.distances, report.ratios, report.norms)
 
     summary = {
         "command": "iterate",
@@ -311,6 +298,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, low in _FLOORS.items():
+        value = getattr(args, name, low)
+        if not low <= value < math.inf:
+            parser.error(f"argument --{name}: must be finite and >= {low}, got {value}")
     try:
         _apply_thread_cap()
     except ValueError as exc:

@@ -29,9 +29,14 @@ from scipy.special import logsumexp
 from .errors import TailDivergenceError
 from .params import TransformParams, sphere_area
 from .profiles import (
+    _GL2_W,
+    _GL2_X,
+    _GL12_W,
+    _GL12_X,
     AxiSymField,
     RadialProfile,
     _gl01,
+    _pair_blocks,
     default_radial_grid,
     lebesgue_measure,
     lp_distance,
@@ -111,14 +116,11 @@ class EllipsoidFit:
 # term (4^-28 ~ 1e-17 relative there); below the split W is read in closed form.
 _A_SPLIT = 4.0
 _SERIES_LOWEST = -28
-_GL12_X, _GL12_W = _gl01(12)  # moments of whole pieces
+# Gauss rules beyond profiles' GL12 (moments of whole pieces) and GL2
 _GL8_X, _GL8_W = _gl01(8)  # crossed pieces and the band below the split
 _GL4_X, _GL4_W = _gl01(4)
-_GL2_X, _GL2_W = _gl01(2)
 _GL32_X, _GL32_W = _gl01(32)  # head and tail below the split
 _GL48_X, _GL48_W = _gl01(48)  # the peak kernel at its fit nodes
-# (level, piece) pairs handled at once; more are swept in blocks of levels
-_PAIR_BLOCK = 1 << 15
 # a piece whose interior maximum rises at most this much in log phi above its
 # higher end is read through the peak kernel at the levels above that end
 _PEAK_LOG_RISE = 0.25
@@ -332,9 +334,7 @@ def _power_integral(c: np.ndarray, llo, lhi, lref, s: float) -> np.ndarray:
 
 
 def _log_power_integral(s: float, llo, lhi, lref) -> np.ndarray:
-    """e^(-s lref) int_{e^llo}^{e^lhi} log(A) A^(s-1) dA."""
-    if s == 0:
-        return 0.5 * (lhi**2 - llo**2)
+    """e^(-s lref) int_{e^llo}^{e^lhi} log(A) A^(s-1) dA, s != 0."""
 
     def antider(la):
         with np.errstate(invalid="ignore"):
@@ -345,32 +345,9 @@ def _log_power_integral(s: float, llo, lhi, lref) -> np.ndarray:
     return antider(lhi) - antider(llo)
 
 
-def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int):
-    """(piece, level) index pairs of the runs first[j] .. stop[j] - 1, in blocks.
-
-    Each piece meets one contiguous run of the sorted levels; blocks of levels
-    keep each batch of pairs at about _PAIR_BLOCK.
-    """
-    count = np.maximum(stop - first, 0)
-    total = int(count.sum())
-    if total == 0:
-        return
-    per_level = np.cumsum(
-        np.bincount(first, weights=count > 0, minlength=n_levels + 1)
-        - np.bincount(stop, weights=count > 0, minlength=n_levels + 1)
-    )[:n_levels]
-    edges = np.searchsorted(
-        np.cumsum(per_level), np.arange(_PAIR_BLOCK, total, _PAIR_BLOCK), side="left"
-    )
-    for b0, b1 in zip(np.r_[0, edges], np.r_[edges, n_levels]):
-        start = np.maximum(first, b0)
-        n = np.minimum(stop, b1) - start
-        live = (n > 0).nonzero()[0]
-        if len(live) == 0:
-            continue
-        n = n[live]
-        ends = n.cumsum()
-        yield live.repeat(n), np.arange(ends[-1]) + (start[live] - (ends - n)).repeat(n)
+def _bracket_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Midpoints of log-level brackets; a one-sided bracket steps 2 past its end."""
+    return np.where(np.isinf(lo), hi - 2.0, np.where(np.isinf(hi), lo + 2.0, 0.5 * (lo + hi)))
 
 
 class _InversionLayerCake:
@@ -770,10 +747,7 @@ class _InversionLayerCake:
             # outside the table: a log-log Newton step from its end
             x = np.where(k == 0, x_tab[0] + (l_target - l_tab[0]) * slope[0], x)
             x = np.where(k == n_tab, x_tab[-1] + (l_target - l_tab[-1]) * slope[-1], x)
-        fallback = np.where(
-            np.isinf(x_lo), x_hi - 2.0, np.where(np.isinf(x_hi), x_lo + 2.0, 0.5 * (x_lo + x_hi))
-        )
-        x = np.where(np.isfinite(x) & (x >= x_lo) & (x <= x_hi), x, fallback)
+        x = np.where(np.isfinite(x) & (x >= x_lo) & (x <= x_hi), x, _bracket_mid(x_lo, x_hi))
         active = np.arange(len(measures))
         for _ in range(100):
             t_now = np.exp(x[active])
@@ -788,10 +762,7 @@ class _InversionLayerCake:
                 step = -resid * d_now / (t_now * dd_now)
             nxt = x[active] + step
             newton = np.isfinite(nxt) & (nxt >= lo_a) & (nxt <= hi_a)
-            fallback = np.where(
-                np.isinf(lo_a), hi_a - 2.0, np.where(np.isinf(hi_a), lo_a + 2.0, 0.5 * (lo_a + hi_a))
-            )
-            x[active] = np.where(newton, nxt, fallback)
+            x[active] = np.where(newton, nxt, _bracket_mid(lo_a, hi_a))
             done = np.where(
                 newton,
                 np.abs(resid) <= 1e-4,

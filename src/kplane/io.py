@@ -4,8 +4,9 @@ Profiles travel as a two-column CSV (r,value) next to a JSON sidecar
 holding what the numbers alone cannot: the ambient dimension, the tail
 exponent, and the interpolation rule. Fields use three columns
 (rho,s,value) in row-major rho-outer order with the same sidecar layout.
-All floats are written with 17 significant digits so a write/read round
-trip is exact; parse failures name the offending line.
+Iteration traces are CSV or, by their suffix, JSON. CSV floats are written
+with 17 significant digits and JSON floats in their shortest exact form, so
+a write/read round trip is exact; parse failures name the offending line.
 """
 
 from __future__ import annotations
@@ -161,7 +162,22 @@ def read_field(path: str | Path) -> AxiSymField:
 
 
 def write_trace(path: str | Path, distances, ratios, norms) -> None:
-    """Iteration trace as CSV rows (n, distance, ratio, norm)."""
+    """Iteration trace, one entry (n, distance, ratio, norm) per state.
+
+    A path ending in .json gets one JSON object of four lists, any other
+    path CSV rows.
+    """
+    if Path(path).suffix == ".json":
+        trace = {
+            "n": list(range(len(distances))),
+            "distance": np.asarray(distances, dtype=float).tolist(),
+            "ratio": np.asarray(ratios, dtype=float).tolist(),
+            "norm": np.asarray(norms, dtype=float).tolist(),
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(trace, fh, indent=2)
+            fh.write("\n")
+        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "distance", "ratio", "norm"])

@@ -178,12 +178,9 @@ class RadialProfile:
         )
 
 
-def default_radial_grid(
-    n: int = DEFAULT_RADIAL_NODES,
-    span: tuple[float, float] = DEFAULT_RADIAL_SPAN,
-) -> np.ndarray:
+def default_radial_grid(n: int = DEFAULT_RADIAL_NODES) -> np.ndarray:
     """Geometric radial grid; the package default is 2048 nodes over [1e-4, 1e4]."""
-    return np.geomspace(span[0], span[1], n)
+    return np.geomspace(*DEFAULT_RADIAL_SPAN, n)
 
 
 _STEP_GAP = 1e-12
@@ -229,6 +226,26 @@ def indicator_profile(d: int, radius: float = 1.0) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _check_exponent(p: float) -> None:
+    """Reject an L^p exponent outside 0 < p < inf, NaN included."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+
+
+def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
+    """Sum over pieces of int |v|^p e^(m u) du, GL12 per piece.
+
+    Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
+    """
+    du = ub - ua
+    acc = np.zeros_like(du)
+    for xg, wg in zip(_GL12_X, _GL12_W):
+        uu = ua + du * xg
+        vv = va + (vb - va) * xg
+        acc += wg * np.abs(vv) ** p * np.exp(m * uu)
+    return float(np.sum(acc * du))
+
+
 def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) -> float:
     """int f^p dmeasure for the canonical interpretation, GL12 per piece.
 
@@ -238,14 +255,7 @@ def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) ->
     u = f.log_radii
     v = f.values
     total = v[0] ** p * f.radii[0] ** m / m
-    du = np.diff(u)
-    va, vb = v[:-1], v[1:]
-    acc = np.zeros_like(du)
-    for xg, wg in zip(_GL12_X, _GL12_W):
-        uu = u[:-1] + du * xg
-        vv = va + (vb - va) * xg
-        acc += wg * vv**p * np.exp(m * uu)
-    total += float(np.sum(acc * du))
+    total += _pieces_power_sum(u[:-1], u[1:], v[:-1], v[1:], p, m)
     if v[-1] > 0:
         g = f.tail_exponent
         if g * p <= m:
@@ -257,10 +267,39 @@ def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) ->
     return measure.prefactor * total
 
 
-# A query lists at most as many (threshold, piece) crossing pairs at once as a
-# dense scan of this many thresholds held entries: one with more pairs sweeps
-# its sorted thresholds in blocks of this many.
-_THRESHOLD_BLOCK = 512
+# (piece, level) crossing pairs per batch; more are swept in blocks of levels
+_PAIR_BLOCK = 1 << 15
+
+
+def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int):
+    """(piece, level) index pairs of the runs first[j] .. stop[j] - 1, in blocks.
+
+    Each piece meets one contiguous run of the sorted levels. Up to
+    _PAIR_BLOCK pairs come in one batch; more come in blocks of levels that
+    keep each batch at about _PAIR_BLOCK.
+    """
+    total = int(np.maximum(stop - first, 0).sum())
+    blocks = [(first, stop)]
+    if total > _PAIR_BLOCK:
+        live = stop > first
+        per_level = np.cumsum(
+            np.bincount(first, weights=live, minlength=n_levels + 1)
+            - np.bincount(stop, weights=live, minlength=n_levels + 1)
+        )[:n_levels]
+        edges = np.searchsorted(
+            np.cumsum(per_level), np.arange(_PAIR_BLOCK, total, _PAIR_BLOCK), side="left"
+        )
+        blocks = (
+            (np.maximum(first, b0), np.minimum(stop, b1))
+            for b0, b1 in zip(np.r_[0, edges], np.r_[edges, n_levels])
+        )
+    for start, end in blocks:
+        n = end - start
+        live = (n > 0).nonzero()[0]
+        if len(live):
+            n = n[live]
+            ends = n.cumsum()
+            yield live.repeat(n), np.arange(ends[-1]) + (start[live] - (ends - n)).repeat(n)
 
 
 def _distribution_engine(
@@ -274,10 +313,10 @@ def _distribution_engine(
     (constant) and tail (power decay, finite measure for t > 0) are closed
     form. The pieces are sorted by their lower value once, so the full pieces
     of a threshold are a suffix sum found by one search. Against the sorted
-    thresholds the crossings of each piece form one contiguous run, so a
-    query of T thresholds on n pieces costs O((n + T) log(n + T)) plus the
-    number of (threshold, piece) crossings, which is O(n + T) for a monotone
-    profile.
+    thresholds the crossings of each piece form one contiguous run, swept by
+    _pair_blocks, so a query of T thresholds on n pieces costs
+    O((n + T) log(n + T)) plus the number of (threshold, piece) crossings,
+    which is O(n + T) for a monotone profile.
     """
     m = measure.weight_exponent
     pre = measure.prefactor
@@ -311,27 +350,15 @@ def _distribution_engine(
         order = t.ravel().argsort(kind="stable")
         ts = t.ravel()[order]
         total = full_above[lo_sorted.searchsorted(ts, side="left")]
-        # piece j crosses the sorted thresholds first[j] .. stop[j] - 1
+        # sloped piece j crosses the sorted thresholds first[j] .. stop[j] - 1
         first = ts.searchsorted(s_lo, side="right")
         stop = ts.searchsorted(s_hi, side="right")
-        n_pairs = int((stop - first).sum())
-        # one sweep unless the pairs outnumber those of a dense block
-        block = _THRESHOLD_BLOCK if n_pairs > _THRESHOLD_BLOCK * len(lo) else max(len(ts), 1)
-        for b0 in range(0, len(ts), block):
-            b1 = min(b0 + block, len(ts))
-            start = np.maximum(first, b0)
-            count = np.minimum(stop, b1) - start
-            live = (count > 0).nonzero()[0]
-            if len(live) == 0:
-                continue
-            count = count[live]
-            ends = count.cumsum()
-            piece = sloped[live].repeat(count)
-            at = np.arange(ends[-1]) + (start[live] - (ends - count)).repeat(count)
+        for j, at in _pair_blocks(first, stop, len(ts)):
+            piece = sloped[j]
             frac = np.minimum(np.maximum((ts[at] - va[piece]) / dv[piece], 0.0), 1.0)
             estar = np.exp(m * (ua[piece] + du[piece] * frac))
             part = sign[piece] * (estar - base[piece])
-            total[b0:b1] += np.bincount(at - b0, weights=part, minlength=b1 - b0)
+            total += np.bincount(at, weights=part, minlength=len(ts))
         total += np.where(ts <= v[0], head, 0.0)
         if v[-1] > 0:
             # far below the tail's anchor value the measure overflows to inf
@@ -527,8 +554,8 @@ class AxiSymField:
 
     # Exterior (outside the box) machinery ----------------------------------
 
-    def _boundary_rays(self, n_per_arc: int = 24):
-        """GL nodes in the polar angle alpha from the +s axis, split at the corners.
+    def _boundary_rays(self):
+        """GL24 nodes in the polar angle alpha from the +s axis, split at the corners.
 
         Returns (alpha weights * sin^{d-2} alpha, R_b, v_b): boundary radius
         and boundary value along each ray.
@@ -891,8 +918,7 @@ def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) 
     tail model. Raises TailDivergenceError when the declared tail makes the
     integral infinite.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_exponent(p)
     if isinstance(f, AxiSymField):
         _require_field_measure(f, measure)
         return _field_norm_power(f, p) ** (1.0 / p)
@@ -1043,8 +1069,7 @@ def lorentz_quasinorm(
     indicator of measure V this gives V^{1/p} (p/r)^{1/r} at finite r and
     V^{1/p} at r = inf. A field is read through its 4096-node rearrangement.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_exponent(p)
     return _lorentz_profile(_distribution_reading(f, measure), p, r, measure)
 
 
@@ -1087,8 +1112,7 @@ def lp_distance(
     and the far tails are handled in closed form when the exponents match,
     by geometric panels otherwise.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_exponent(p)
     m = measure.weight_exponent
     r_all = np.union1d(f.radii, g.radii)
     u = np.log(r_all)
@@ -1104,13 +1128,7 @@ def lp_distance(
         ub = np.concatenate([ub[~cross], ustar, ub[cross]])
         va = np.concatenate([va[~cross], va[cross], np.zeros(cross.sum())])
         vb = np.concatenate([vb[~cross], np.zeros(cross.sum()), vb[cross]])
-    du = ub - ua
-    acc = np.zeros_like(du)
-    for xg, wg in zip(_GL12_X, _GL12_W):
-        uu = ua + du * xg
-        vv = va + (vb - va) * xg
-        acc += wg * np.abs(vv) ** p * np.exp(m * uu)
-    total = float(np.sum(acc * du))
+    total = _pieces_power_sum(ua, ub, va, vb, p, m)
     total += abs(vf[0] - vg[0]) ** p * r_all[0] ** m / m
     r_max = r_all[-1]
     tf, tg = f.tail_exponent, g.tail_exponent

@@ -104,7 +104,7 @@ def test_criterion_3_convergence_from_indicator():
     p = params.pf
     ind = indicator_profile(params.d)
     ind = ind.scaled(1.0 / lp_norm(ind, p, lebesgue_measure(params.d)))
-    rep = competing_iterate(ind, params)  # defaults: 1024 x 1024 field, 200 iters
+    rep = competing_iterate(ind, params)  # defaults: 2048-node output grid, 200 iters
     d_slack = float(np.max(np.diff(rep.distances)))
     r_slack = float(np.max(-np.diff(rep.ratios)))
     dt = time.perf_counter() - t0

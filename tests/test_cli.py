@@ -227,6 +227,28 @@ def test_verify_unknown_suite():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["iterate", "--grid", "0"], "--grid"),
+        (["constant", "--k", "1", "--d", "3", "--grid", "0"], "--grid"),
+        (["verify", "--samples", "1"], "--samples"),
+        (["iterate", "--iters", "-1"], "--iters"),
+        (["iterate", "--tol=-1e-4"], "--tol"),
+        (["iterate", "--tol", "nan"], "--tol"),  # would never converge
+        (["iterate", "--tol", "inf"], "--tol"),
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(argv, flag):
+    # the parser rejects them before any numerical module loads
+    proc = subprocess.run(
+        [sys.executable, "-m", "kplane.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_thread_cap_invalid(monkeypatch, capsys):
     monkeypatch.setenv("KPLANE_THREADS", "many")
     code = main(["constant", "--k", "1", "--d", "2"])

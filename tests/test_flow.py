@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kplane import (
+    TailDivergenceError,
     TransformParams,
     best_constant,
     competing_iterate,
@@ -138,6 +139,24 @@ def test_competing_step_unbounded_image():
     mu = lebesgue_measure(3)
     assert abs(lp_norm(out, 2.0, mu) / lp_norm(f, 2.0, mu) - 1.0) < 1e-4
     assert np.all(np.isfinite(out.values)) and np.all(np.diff(out.values) <= 0)
+
+
+def test_competing_step_divergent_tail_raises():
+    # at (1, 3) a tail exponent at or below (k + 1)(d - 1)/d = 4/3 gives the
+    # inversion image infinite super-level sets
+    r = default_radial_grid(256)
+    f = RadialProfile(3, r, (1.0 + r**2) ** -0.6, 1.2)
+    with pytest.raises(TailDivergenceError, match="infinite super-level sets"):
+        competing_step(f, PR13, out_radii=r)
+
+
+@pytest.mark.parametrize("k, d", [(1, 3), (1, 2), (2, 4)])
+def test_competing_step_of_zero_is_zero(k, d):
+    # no sub-piece, head or tail carries a level: every output level is 0
+    r = default_radial_grid(64)
+    out = competing_step(RadialProfile(d, r, np.zeros_like(r), 2.0), TransformParams(k, d))
+    np.testing.assert_array_equal(out.values, np.zeros_like(r))
+    assert out.tail_exponent == k + 1
 
 
 def test_unbounded_start_is_reported():

@@ -179,3 +179,19 @@ def test_write_trace(tmp_path):
     assert lines[1].startswith("0,0.5")
     assert lines[2].startswith("1,0.25")
     assert len(lines) == 3
+
+
+def test_write_trace_json_round_trip(tmp_path):
+    # a .json path gets one object of four lists; floats come back exactly
+    path = tmp_path / "trace.json"
+    distances = np.array([0.5, 1.0 / 3.0, 2.0e-5 / 7.0])
+    ratios = np.array([1.1, 1.2, np.nextafter(1.3, 2.0)])
+    norms = np.array([2.0, 2.0 * (1 + 1e-16), 1.9999999999999998])
+    write_trace(path, distances, ratios, norms)
+    text = path.read_text()
+    assert text.startswith('{\n  "n": [') and text.endswith("}\n")
+    trace = json.loads(text)
+    assert list(trace) == ["n", "distance", "ratio", "norm"]
+    assert trace["n"] == [0, 1, 2]
+    for key, want in (("distance", distances), ("ratio", ratios), ("norm", norms)):
+        np.testing.assert_array_equal(np.array(trace[key]), want)

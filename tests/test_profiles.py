@@ -182,6 +182,21 @@ def test_lp_norm_homogeneity_and_errors():
         lp_norm(f, 1.0, radial_measure(3))
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
+def test_exponent_must_be_positive_and_finite(p):
+    # p = inf is outside the integrals' range, as are p <= 0 and NaN: taken
+    # as a power it gives every profile an L^p "norm" of 1.0
+    r = default_radial_grid(256)
+    f = RadialProfile(3, r, 2.0 / (1.0 + r**2), 2.0)
+    mu = lebesgue_measure(3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        lp_norm(f, p, mu)
+    with pytest.raises(ValueError, match="positive and finite"):
+        lp_distance(f, f.scaled(0.5), p, mu)
+    with pytest.raises(ValueError, match="positive and finite"):
+        lorentz_quasinorm(f, p, 2.0, mu)
+
+
 # ---------------------------------------------------------------------------
 # Distribution functions
 # ---------------------------------------------------------------------------
@@ -358,14 +373,14 @@ def test_distribution_engine_matches_dense_reference(f, data):
 
 def test_distribution_engine_sweeps_dense_queries_in_blocks():
     # a zigzag of 40 pieces crossed at 2000 thresholds has more crossing
-    # pairs than one dense block of 512 thresholds holds, so the sweep splits
+    # pairs than two batches of _PAIR_BLOCK hold, so the sweep splits in three
     from kplane import profiles
 
     f = _zigzag(41, 0.1, 1.0)
     mu = lebesgue_measure(3)
     ts = np.linspace(0.11, 1.0, 2000)[::-1]
     n_pairs = 40 * len(ts)  # every piece crosses every threshold
-    assert n_pairs > profiles._THRESHOLD_BLOCK * 40
+    assert n_pairs > 2 * profiles._PAIR_BLOCK
     np.testing.assert_allclose(
         profiles._distribution_engine(f, mu)(ts), dense_distribution(f, ts, mu), rtol=1e-13
     )
