@@ -83,15 +83,17 @@ def _bump_mix_profile(
     rng: np.random.Generator,
     d: int,
     radii: np.ndarray,
+    tail: float | None = None,
     monotone: bool = False,
 ) -> RadialProfile:
     """Sum of three smooth power-decay bumps with random scales and weights.
 
     With monotone=False some bumps are rings (an r^e factor, e in {1, 2}),
     so the profile is genuinely non-monotone and the rearrangement has work
-    to do. All bumps share one tail exponent, which the profile declares.
+    to do. All bumps share one tail exponent, which the profile declares;
+    without one it is drawn first, uniform on [2.2, 5).
     """
-    t = float(rng.uniform(2.2, 5.0))
+    t = float(rng.uniform(2.2, 5.0)) if tail is None else tail
     vals = np.zeros_like(radii)
     for _ in range(3):
         lam = float(rng.uniform(0.3, 3.0))

@@ -37,25 +37,13 @@ from kplane import (
     sample_point_tuple,
 )
 from kplane.flow import _half_max_radius
-from kplane.profiles import RadialProfile
+from kplane.verify import _bump_mix_profile
 
 PAIRS = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
 
 
 def verdict(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def random_mix(rng, d, radii, tail, monotone=False):
-    """Sum of power-decay bumps; rings allowed unless monotone."""
-    vals = np.zeros_like(radii)
-    for _ in range(3):
-        lam = float(rng.uniform(0.3, 3.0))
-        amp = float(rng.uniform(0.2, 2.0))
-        e = 0 if monotone else int(rng.integers(0, 3))
-        x = lam * radii
-        vals += amp * x**e * (1.0 + x**2) ** (-0.5 * (tail + e))
-    return RadialProfile(d, radii, vals, tail)
 
 
 def test_criterion_1_best_constants():
@@ -89,7 +77,7 @@ def test_criterion_2_sharpness():
         bound = best_constant(params) * (1.0 + 2e-4)
         for _ in range(200):
             tail = float(rng.uniform(k + 1.05, k + 4.0))
-            f = random_mix(rng, d, radii, tail)
+            f = _bump_mix_profile(rng, d, radii, tail)
             worst_margin = max(worst_margin, functional_ratio(f, params) / bound - 1.0)
     dt = time.perf_counter() - t0
     ok = worst_margin <= 0.0 and dt <= 60.0
@@ -167,7 +155,7 @@ def test_criterion_4_operator_identities():
 
     # V idempotent on embedded nonincreasing profiles
     idem = 0.0
-    for f in (h, random_mix(rng, d, out, tail=3.1, monotone=True)):
+    for f in (h, _bump_mix_profile(rng, d, out, tail=3.1, monotone=True)):
         fstar = rearrange(embed_radial(f, rho, s), out_radii=out)
         idem = max(idem, lp_distance(fstar, f, p, mu) / lp_norm(f, p, mu))
 
@@ -305,7 +293,7 @@ def test_criterion_9_concentration():
     while kept < 50 and tries < 400:
         tries += 1
         tail = float(rng.uniform(2.2, 5.0))
-        f = random_mix(rng, d, radii, tail, monotone=True)
+        f = _bump_mix_profile(rng, d, radii, tail, monotone=True)
         f = f.scaled(1.0 / lp_norm(f, p, mu))
         if functional_ratio(f, params) < a_half:
             continue

@@ -1,6 +1,9 @@
 """Profiles, fields, and the measure-theoretic functionals built on them."""
 
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -456,8 +459,166 @@ def test_interpolation_check():
     assert rep.satisfied and rep.lhs <= rep.rhs * (1 + 1e-8)
     rep = interpolation_check(indicator_profile(3), 1.5, 3.0, mu)
     assert rep.satisfied
+    assert type(rep.lhs) is float and type(rep.rhs) is float
     with pytest.raises(ValueError):
         interpolation_check(f, 2.0, 2.0, mu)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 1.0])
+def test_interpolation_check_needs_finite_r_above_p(r):
+    # r = inf would compare inf with inf and report the inequality as holding
+    with pytest.raises(ValueError, match="p < r < inf"):
+        interpolation_check(indicator_profile(3), 1.5, r, radial_measure(3))
+
+
+@pytest.mark.parametrize("r", [-math.inf, 0.0, -1.0, math.nan])
+def test_lorentz_secondary_exponent_is_inf_or_positive(r):
+    f = indicator_profile(3, radius=1.5)
+    with pytest.raises(ValueError, match="secondary exponent"):
+        lorentz_quasinorm(f, 2.0, r, radial_measure(3))
+    z = RadialProfile(3, np.array([1.0, 2.0]), np.zeros(2), 5.0)
+    with pytest.raises(ValueError, match="secondary exponent"):
+        lorentz_quasinorm(z, 2.0, r, radial_measure(3))
+
+
+def dense_weak_sup(f, p, mu, n=400, zooms=4):
+    """Brute-force sup_t t d(t)^(1/p): (plain, zoomed).
+
+    plain is the max over the positive levels and n points inside every
+    segment between them, the segment (1e-12 v_1, v_1) below the least level
+    included; zoomed then narrows each segment's grid around its best point
+    `zooms` times, n points each, to put a bar on the discretization.
+    """
+    levels = np.unique(f.values[f.values > 0])
+    lo = np.concatenate([[1e-12 * levels[0]], levels[:-1]])
+    hi = levels
+    x = np.linspace(0.0, 1.0, n + 2)[1:-1]
+
+    def g(t):
+        return t * np.maximum(distribution_at(f, t, mu), 0.0) ** (1.0 / p)
+
+    rows = np.arange(len(lo))
+    t = lo[:, None] + (hi - lo)[:, None] * x
+    vals = g(t)
+    plain = max(float(g(levels).max()), float(vals.max()))
+    zoomed = plain
+    a, b = lo, hi
+    for _ in range(zooms):
+        j = vals.argmax(axis=1)
+        step = (b - a) / (n + 1)
+        a, b = np.maximum(t[rows, j] - step, a), np.minimum(t[rows, j] + step, b)
+        t = a[:, None] + (b - a)[:, None] * x
+        vals = g(t)
+        zoomed = max(zoomed, float(vals.max()))
+    return plain, zoomed
+
+
+def _seeded_weak_cases():
+    # non-monotone ring mixes, the three-bump mixes of the verify suites and the
+    # extremizer h, each with an exponent p for which its L^p norm is finite
+    from kplane.verify import _bump_mix_profile
+
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(10):
+        bumps = [
+            (rng.uniform(0.05, 2.0), rng.uniform(-4.0, 4.0), rng.uniform(0.2, 3.0))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        cases.append((_ring_mix(int(rng.integers(3, 60)), bumps, 5.0), rng.uniform(1.1, 3.0)))
+    for _ in range(4):
+        f = _bump_mix_profile(rng, 3, default_radial_grid(128))
+        cases.append((f, 3.0 / f.tail_exponent + rng.uniform(0.1, 1.5)))
+    for k, d in ((1, 3), (2, 4), (3, 4)):
+        pr = TransformParams(k, d)
+        h = extremizer_profile(ExtremizerSpec(pr), radii=default_radial_grid(256))
+        cases.append((h, pr.pf))
+    return cases
+
+
+def _assert_weak_matches_dense(f, p, mu):
+    got = lorentz_quasinorm(f, p, math.inf, mu)
+    plain, zoomed = dense_weak_sup(f, p, mu)
+    assert got >= plain * (1.0 - 1e-15)
+    assert abs(got / zoomed - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", range(17))
+def test_lorentz_weak_norm_is_the_dense_sup(case):
+    f, p = _seeded_weak_cases()[case]
+    _assert_weak_matches_dense(f, p, lebesgue_measure(f.d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.02, 3.0), min_size=1, max_size=5),
+    levels=st.lists(st.floats(0.05, 3.0), min_size=5, max_size=5),
+    p=st.floats(1.05, 3.0),
+)
+def test_lorentz_weak_norm_is_the_dense_sup_on_steps(gaps, levels, p):
+    # jump-encoded steps: every jump is a near-vertical piece
+    f = step_profile(3, np.cumsum(gaps), levels[: len(gaps)])
+    _assert_weak_matches_dense(f, p, radial_measure(3))
+
+
+def test_lorentz_weak_norm_below_the_least_level():
+    # f = 1 up to r = 1, then linear in log r down to 0 at r = e^10: for
+    # t <= 1, d(t) = e^(30 (1 - t)) / 3 under r^2 dr, so at p = 2 the sup of
+    # t d(t)^(1/2) sits at t = 1/15, below every positive node value
+    f = RadialProfile(3, np.array([1.0, math.exp(10.0)]), np.array([1.0, 0.0]), 5.0)
+    mu = radial_measure(3)
+    want = math.exp(14.0) / (15.0 * math.sqrt(3.0))
+    assert abs(lorentz_quasinorm(f, 2.0, math.inf, mu) / want - 1.0) < 1e-12
+    assert interpolation_check(f, 2.0, 3.0, mu).satisfied
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_engine_profiles, data=st.data())
+def test_engine_slope_is_the_derivative_inside_segments(f, data):
+    from kplane.profiles import _distribution_engine
+
+    levels = np.unique(f.values[f.values > 0])
+    # segments too narrow for a difference quotient are left out, and so are
+    # those hundreds of decades under the peak, where the tail's d overflows
+    wide = np.flatnonzero(
+        (np.diff(levels) > 1e-3 * levels[1:]) & (levels[:-1] > 1e-12 * levels[-1])
+    )
+    if not len(wide):
+        return
+    i = data.draw(st.sampled_from(wide.tolist()))
+    a, b = levels[i], levels[i + 1]
+    t = a + (b - a) * data.draw(st.floats(0.2, 0.8))
+    lo, hi = t - 1e-5 * (b - a), t + 1e-5 * (b - a)
+    dist = _distribution_engine(f, lebesgue_measure(3))
+    d, slope = dist(np.array([t]), slope=True)
+    central = (dist(np.array([hi])) - dist(np.array([lo]))) / (hi - lo)
+    assert abs(central[0] - slope[0]) <= 1e-6 * abs(slope[0]) + 1e-9 * d[0] / (b - a)
+    # the plain query is the first half of the slope query, bit for bit
+    assert dist(np.array([t]))[0] == d[0]
+
+
+def test_lorentz_weak_norm_raises_no_numpy_warning():
+    # a ring peaked at one node has d = 0 at its top level; the steps put
+    # their top level on a near-vertical jump piece inside the profile
+    cases = [
+        RadialProfile(3, np.array([1.0, 2.0, 4.0]), np.array([0.5, 2.0, 0.5]), 4.0),
+        RadialProfile(3, np.array([1.0, 2.0]), np.array([0.0, 1.0]), 6.0),
+        step_profile(3, [0.5, 1.0, 2.0], [1.0, 3.0, 2.0]),
+        step_profile(3, [1e-3, 1.0], [0.2, 5.0]),
+    ] + [f for f, _ in _seeded_weak_cases()[:10]]
+    mu = lebesgue_measure(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in cases:
+            for p in (1.2, 2.0, 3.0):
+                assert lorentz_quasinorm(f, p, math.inf, mu) > 0.0
+
+
+def test_profiles_import_leaves_scipy_optimize_unloaded():
+    # the profile functionals run on numpy alone
+    code = "import sys, kplane.profiles; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=25, deadline=None)
