@@ -994,50 +994,86 @@ _SUP_XTOL = 1e-8
 _SUP_ROUNDS = 100
 # lower end of the segment below the least positive level, relative to it
 _SUP_BOTTOM = 2.0**-40
+# largest change of a piece's exponent k t between neighbouring samples
+_SUP_KAPPA = 0.25
 
 
-def _weak_sup(dist: Callable, p: float, levels: np.ndarray, has_zero: bool) -> float:
-    """sup_{t > 0} t d(t)^(1/p) for the engine dist and the positive levels.
+def _sup_samples(f: RadialProfile, p: float, m: int) -> np.ndarray:
+    """Thresholds past which h = p d + t d' of _weak_sup may rise, sampled.
+
+    A crossed decreasing piece adds A e^(k t) to d, k = -m du/|dv| < 0, and
+    A k e^(k t) (1 + p + k t) to h', which is positive only for t > (1 + p)/|k|.
+    From there (or its lower value) up to its upper value each such piece
+    gets thresholds every _SUP_KAPPA/|k| in t, at most m du/_SUP_KAPPA + 1.
+    """
+    du, dv = np.diff(f.log_radii), np.diff(f.values)
+    j = np.flatnonzero((dv < 0) & (du > 0))
+    hi, span, mdu = f.values[j], -dv[j], m * du[j]
+    start = np.maximum(hi - span, (1.0 + p) * span / mdu)
+    rising = start < hi
+    hi, span, mdu, start = hi[rising], span[rising], mdu[rising], start[rising]
+    # n steps of at most _SUP_KAPPA/|k| cover (start, hi); t = start + q (hi - start)/n
+    n = np.ceil((hi - start) / span * mdu / _SUP_KAPPA).astype(int)
+    piece = np.repeat(np.arange(len(n)), n)
+    q = np.arange(len(piece)) - np.repeat(np.cumsum(n) - n, n)
+    t = start[piece] + (hi - start)[piece] * (q / n[piece])
+    # start may be the piece's lower value, a level or 0, which is no sample
+    return t[t > (hi - span)[piece]]
+
+
+def _weak_sup(dist: Callable, f: RadialProfile, p: float, m: int, levels: np.ndarray) -> float:
+    """sup_{t > 0} t d(t)^(1/p) for the engine dist of f and its positive levels.
 
     d is left-continuous and nonincreasing, so the sup is the value at a
-    level or an interior maximum of a segment between consecutive levels.
-    On a segment the crossing set is fixed, so g = log t + log d / p is
-    smooth and g' has the sign of h = p d + t d'. A segment whose h is
-    positive just above its lower level and negative at its upper one (the
-    engine gives its left derivative there) brackets a maximum. One query
-    reads d and d' at every level and just above every lower level; all
-    brackets are then refined together by Illinois secant steps on h, with
-    bisection when a step leaves its bracket, one query a round, until each
-    is narrower than _SUP_XTOL t.
+    level or an interior maximum of a segment between consecutive levels,
+    the segment (_SUP_BOTTOM v_1, v_1) below the least level included. On a
+    segment the crossing set is fixed, so g = log t + log d / p is smooth
+    and g' has the sign of h = p d + t d'. There h' = (1 + p) d' + t d''
+    gets nothing from constants, a negative part from the tail (as
+    p gamma > m) and from each crossed increasing piece, and a part from
+    each crossed decreasing piece that is positive only where
+    t > (1 + p)/|k| (see _sup_samples). Below the least such t of a segment
+    h falls, so the segment's lower end and that t, its first sample,
+    bracket the only maximum there. Past it the samples are at most
+    _SUP_KAPPA/|k| apart for every such piece: a resolution rule, not a
+    proof, that finds each maximum across which h changes sign once
+    between neighbouring samples.
 
-    Below the least level v_1 a piece is crossed only if it falls to 0;
-    without one, d there is c t^(-m/gamma) (or constant without a tail) and
-    g increases. So the segment (0, v_1) is searched, from _SUP_BOTTOM v_1
-    up, only when has_zero says some node value is 0.
+    One query reads d and d' at every level (the engine gives the left
+    derivative there), just above every lower level and at the samples.
+    Each neighbouring pair in one segment with h > 0 below and h < 0 above
+    brackets a maximum. All brackets are refined together by Illinois
+    secant steps on h, with bisection when a step leaves its bracket, one
+    query a round, until each is narrower than _SUP_XTOL t.
     """
+
+    def read(t: np.ndarray) -> tuple[float, np.ndarray]:
+        # max of t d^(1/p), and h. A level at a peak may round d below 0; far
+        # under a tiny least level the tail's measure may overflow to inf,
+        # and such a t is no candidate
+        d, rate = dist(t, slope=True)
+        d = np.where(d < math.inf, np.maximum(d, 0.0), 0.0)
+        return float(np.max(t * d ** (1.0 / p))), p * d + t * rate
+
     n = len(levels)
-    lower = np.nextafter(levels[:-1], math.inf)
-    if has_zero:
-        lower = np.concatenate([[levels[0] * _SUP_BOTTOM], lower])
-    ts = np.concatenate([levels, lower])
-    d, rate = dist(ts, slope=True)
-    d = np.maximum(d, 0.0)  # a level at a peak may round below 0
-    best = float(np.max(ts * d ** (1.0 / p)))
-    h = p * d + ts * rate
-    h_lo = h[n:]
-    upper, h_hi = (levels, h[:n]) if has_zero else (levels[1:], h[1:n])
-    live = (h_lo > 0) & (h_hi < 0) & (lower < upper)
-    a, b, ha, hb = lower[live], upper[live], h_lo[live], h_hi[live]
+    inner = _sup_samples(f, p, m)
+    bottom = max(levels[0] * _SUP_BOTTOM, math.ulp(0.0))
+    ts = np.concatenate([[bottom], np.nextafter(levels[:-1], math.inf), levels, inner])
+    seg = np.concatenate([np.arange(n), np.arange(n), levels.searchsorted(inner)])
+    order = np.lexsort((ts, seg))
+    ts, seg = ts[order], seg[order]
+    best, h = read(ts)
+    live = (seg[:-1] == seg[1:]) & (h[:-1] > 0) & (h[1:] < 0) & (ts[:-1] < ts[1:])
+    a, b = ts[:-1][live], ts[1:][live]
+    ha, hb = h[:-1][live], h[1:][live]
     kept = np.zeros(len(a))  # -1: a was kept last round, +1: b was
     for _ in range(_SUP_ROUNDS):
         if not len(a):
             break
         x = b - hb * (b - a) / (hb - ha)
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
-        d, rate = dist(x, slope=True)
-        d = np.maximum(d, 0.0)
-        best = max(best, float(np.max(x * d ** (1.0 / p))))
-        hx = p * d + x * rate
+        top, hx = read(x)
+        best = max(best, top)
         # the root is in [x, b] when h(x) > 0, in [a, x] otherwise; Illinois
         # halves the h of an end kept twice in a row
         up = hx > 0
@@ -1066,7 +1102,7 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
 
     dist = _distribution_engine(f, measure)
     if r == math.inf:
-        return _weak_sup(dist, p, levels, bool(f.values.min() == 0))
+        return _weak_sup(dist, f, p, m, levels)
 
     def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         # GL24 terms of int_lo^hi d(t)^(r/p) t^(r-1) dt, one row per node
@@ -1122,8 +1158,9 @@ def lorentz_quasinorm(
     Finite r integrates d^{r/p} t^{r-1} with GL24 on every level segment
     and a dyadic descent below the least level, two batched engine queries.
     r = inf takes every level and every segment's interior maximum: one
-    query reads d and its slope d' at both ends of every segment, which
-    brackets each maximum, and batched secant rounds, one query each,
+    query reads d and its slope d' at both ends of every segment, and
+    inside it wherever a long decreasing piece can turn t d^(1/p) back up,
+    which brackets each maximum; batched secant rounds, one query each,
     refine all brackets at once to 1e-8 relative in t (see _weak_sup).
     """
     _check_exponent(p)

@@ -572,6 +572,39 @@ def test_lorentz_weak_norm_below_the_least_level():
     assert interpolation_check(f, 2.0, 3.0, mu).satisfied
 
 
+def _long_piece_and_ring(m, length, top, ring, ring_width, p):
+    # f = 1 at r = 1, linear in log r down to top * 0.01 at r = e^length, then
+    # a thin ring at value `ring` just outside: on the segment below 1 the
+    # ring's measure is a constant beside the long decreasing piece, so
+    # h = p d + t d' goes + - + and the segment's ends show no maximum
+    big = math.exp(length)
+    radii = big * np.array([math.exp(-length), 1.0, 1.0 + 1e-12, 1.0 + 1e-12 + ring_width,
+                            1.0 + 2e-12 + ring_width])
+    return RadialProfile(m, radii, np.array([1.0, 0.01 * top, ring, ring, 0.01 * top]), 5.0)
+
+
+def test_lorentz_weak_norm_finds_a_maximum_hidden_inside_a_segment():
+    # the sup is t d(t)^(1/2) near t = 1/15 (about 5.3e4); the level values
+    # only reach 3.3e4, at t = 1.5
+    f = _long_piece_and_ring(3, 10.0, 1.0, 1.5, math.exp(-10.0), 2.0)
+    mu = radial_measure(3)
+    assert lorentz_quasinorm(f, 2.0, math.inf, mu) > 5.3e4
+    _assert_weak_matches_dense(f, 2.0, mu)
+    assert interpolation_check(f, 2.0, 3.0, mu).satisfied
+
+
+def test_lorentz_weak_norm_is_the_dense_sup_beside_a_ring():
+    # seeded draws: about one in five hides its sup inside a segment
+    rng = np.random.default_rng(7)
+    cases = [(1, 1.0, 2.225073858507e-311, 1.0, 0.0, 2.0)]  # a subnormal least level
+    for _ in range(40):
+        cases.append((int(rng.integers(1, 5)), rng.uniform(0.5, 12.0), rng.uniform(0.0, 1.0),
+                      rng.uniform(0.2, 5.0), rng.uniform(-25.0, 0.0), rng.uniform(1.05, 4.0)))
+    for m, length, top, ring, width, p in cases:
+        f = _long_piece_and_ring(m, length, top, ring, math.exp(max(width, -m * length)), p)
+        _assert_weak_matches_dense(f, p, radial_measure(m))
+
+
 @settings(max_examples=100, deadline=None)
 @given(f=_engine_profiles, data=st.data())
 def test_engine_slope_is_the_derivative_inside_segments(f, data):
