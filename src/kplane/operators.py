@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sf
+from scipy.linalg import blas
 
 from .errors import TailDivergenceError, UndefinedRatioError
 from .params import TransformParams, radial_conversion_factor
@@ -89,13 +90,24 @@ def extremizer_profile(spec: ExtremizerSpec, radii: np.ndarray | None = None) ->
 # The integral along s decomposes over the profile's pieces. On piece
 # [r_j, r_{j+1}] the profile is a hat-function combination of its endpoint
 # values, so T is a matrix in those values; each entry is a GL6 integral in s
-# (the integrand is analytic there, including at s = 0). Matrices are cached
-# per (k, grid); the gamma-dependent tail beyond the last node is a separate
-# closed-form incomplete-Beta column added per call. The key holds the grid's
-# bytes themselves, so two grids that differ anywhere never share a matrix.
+# (the integrand is analytic there, including at s = 0). Row i reads only the
+# nodes j >= i, so T is upper triangular and is stored packed: its upper
+# triangle in BLAS column-major order, n(n+1)/2 doubles, applied by dtpmv.
+# On a geometric grid s = r_i sigma maps row i onto row 0, so
+# T[i, i+d] = (r_i/r_0)^k T[0, d]: one row of GL6 weights fills every column,
+# except that the last column takes only the right-node weights, as no piece
+# lies beyond it. Any other grid builds the rows one by one. Matrices are
+# cached per (k, grid); the gamma-dependent tail beyond the last node is a
+# separate closed-form incomplete-Beta column added per call. The key holds
+# the grid's bytes themselves, so two grids that differ anywhere never share
+# a matrix.
 
 _T_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _T_CACHE_MAX = 4
+# A node computed from its logarithm, as np.geomspace does, is rounded by
+# about eps |log r| relative; a grid whose ratios r_{j+1}/r_j agree to a few
+# times that is geometric for the one-row fill.
+_GEOMETRIC_ULPS = 4.0
 
 
 def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
@@ -118,7 +130,16 @@ def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
     return j_first, a, b
 
 
+def _is_geometric(radii: np.ndarray) -> bool:
+    """Whether the node ratios agree to the rounding of nodes made from logs."""
+    q = radii[1:] / radii[:-1]
+    log_span = max(abs(math.log(radii[0])), abs(math.log(radii[-1])))
+    tol = _GEOMETRIC_ULPS * np.finfo(float).eps * (1.0 + log_span)
+    return len(q) == 0 or bool(np.ptp(q) <= tol * q[0])
+
+
 def _t_matrix(k: int, f: RadialProfile) -> np.ndarray:
+    """T on f's grid as its packed upper triangle (column-major, for dtpmv)."""
     key = (k, f.radii.tobytes())
     hit = _T_CACHE.get(key)
     if hit is not None:
@@ -126,15 +147,29 @@ def _t_matrix(k: int, f: RadialProfile) -> np.ndarray:
         return hit
     radii, u = f.radii, f.log_radii
     n = len(radii)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        j0, a, b = _row_contributions(radii, u, k, float(radii[i]))
-        mat[i, j0 : n - 1] += a
-        mat[i, j0 + 1 : n] += b
-    _T_CACHE[key] = mat
+    # column j of the packed triangle holds rows 0..j from offset j(j+1)/2
+    start = np.arange(n) * (np.arange(n) + 1) // 2
+    packed = np.zeros(n * (n + 1) // 2)
+    if _is_geometric(radii):
+        _, a, b = _row_contributions(radii, u, k, float(radii[0]))
+        row = np.append(a, 0.0)
+        row[1:] += b
+        scale = (radii / radii[0]) ** k
+        # T[i, j] = scale_i row[j - i], read down column j as row[j::-1]
+        rev = row[::-1]
+        for j in range(n - 1):
+            packed[start[j] : start[j] + j + 1] = scale[: j + 1] * rev[n - 1 - j :]
+        packed[start[-1] : start[-1] + n - 1] = scale[:-1] * b[::-1]
+    else:
+        for i in range(n):
+            j0, a, b = _row_contributions(radii, u, k, float(radii[i]))
+            row = np.append(a, 0.0)
+            row[1:] += b
+            packed[start[j0:] + i] = row
+    _T_CACHE[key] = packed
     if len(_T_CACHE) > _T_CACHE_MAX:
         _T_CACHE.popitem(last=False)
-    return mat
+    return packed
 
 
 def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -> np.ndarray:
@@ -172,7 +207,7 @@ def t_transform(
         )
     if out_radii is None:
         out_r = f.radii
-        core = _t_matrix(k, f) @ f.values
+        core = blas.dtpmv(len(out_r), _t_matrix(k, f), f.values)
     else:
         out_r = np.asarray(out_radii, dtype=float)
         core = np.empty_like(out_r)

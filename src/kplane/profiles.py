@@ -236,13 +236,15 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
     """Sum over pieces of int |v|^p e^(m u) du, GL12 per piece.
 
     Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
+    Each node costs one exp, of p log|v| + m u; a node with v = 0 gives 0.
     """
     du = ub - ua
     acc = np.zeros_like(du)
-    for xg, wg in zip(_GL12_X, _GL12_W):
-        uu = ua + du * xg
-        vv = va + (vb - va) * xg
-        acc += wg * np.abs(vv) ** p * np.exp(m * uu)
+    with np.errstate(divide="ignore"):
+        for xg, wg in zip(_GL12_X, _GL12_W):
+            uu = ua + du * xg
+            vv = va + (vb - va) * xg
+            acc += wg * np.exp(p * np.log(np.abs(vv)) + m * uu)
     return float(np.sum(acc * du))
 
 
@@ -316,10 +318,12 @@ def _distribution_engine(f: RadialProfile, measure: WeightedMeasure) -> Callable
     O((n + T) log(n + T)) plus the number of (threshold, piece) crossings,
     which is O(n + T) for a monotone profile.
 
-    With slope=True the query returns (d, d') from the same sweep: a crossed
-    piece adds sign * m e* du/dv and the tail -(m/gamma) r_t^m / t. At a
-    node level t this is the left derivative, whose pieces are those of the
-    open segment just below t.
+    With slope=True the query returns (d, t d') from the same sweep: a
+    crossed piece adds sign * m e* du (t/dv) and the tail -(m/gamma) r_t^m.
+    At a node level t this is the left derivative, whose pieces are those of
+    the open segment just below t. t d' stays finite wherever d does, while
+    d' alone overflows at a subnormal t or on a piece whose value change is
+    subnormal.
     """
     m = measure.weight_exponent
     pre = measure.prefactor
@@ -353,7 +357,7 @@ def _distribution_engine(f: RadialProfile, measure: WeightedMeasure) -> Callable
         order = t.ravel().argsort(kind="stable")
         ts = t.ravel()[order]
         total = full_above[lo_sorted.searchsorted(ts, side="left")]
-        rate = np.zeros_like(total) if slope else None
+        t_rate = np.zeros_like(total) if slope else None
         # sloped piece j crosses the sorted thresholds first[j] .. stop[j] - 1
         first = ts.searchsorted(s_lo, side="right")
         stop = ts.searchsorted(s_hi, side="right")
@@ -364,23 +368,26 @@ def _distribution_engine(f: RadialProfile, measure: WeightedMeasure) -> Callable
             part = sign[piece] * (estar - base[piece])
             total += np.bincount(at, weights=part, minlength=len(ts))
             if slope:
-                part = sign[piece] * m * estar * (du[piece] / dv[piece])
-                rate += np.bincount(at, weights=part, minlength=len(ts))
+                # |t/dv| <= hi/ulp(hi) for a crossed piece, so no overflow
+                part = sign[piece] * m * estar * du[piece] * (ts[at] / dv[piece])
+                t_rate += np.bincount(at, weights=part, minlength=len(ts))
         total += np.where(ts <= v[0], head, 0.0)
-        if v[-1] > 0:
-            # far below the tail's anchor value the measure overflows to inf
-            with np.errstate(over="ignore"):
+        out = np.empty_like(total)
+        out_rate = np.empty_like(total) if slope else None
+        # far below the tail's anchor value the measure overflows to inf, in
+        # the tail term or once scaled
+        with np.errstate(over="ignore"):
+            if v[-1] > 0:
                 r_t = r_n * (v[-1] / ts) ** (1.0 / f.tail_exponent)
                 in_tail = ts <= v[-1]
                 total += np.where(in_tail, r_t**m - r_n**m, 0.0)
                 if slope:
-                    rate -= np.where(in_tail, (m / f.tail_exponent) * r_t**m / ts, 0.0)
-        out = np.empty_like(total)
-        out[order] = pre * total / m
+                    t_rate -= np.where(in_tail, (m / f.tail_exponent) * r_t**m, 0.0)
+            out[order] = pre * total / m
+            if slope:
+                out_rate[order] = pre * t_rate / m
         if not slope:
             return out.reshape(t.shape)
-        out_rate = np.empty_like(rate)
-        out_rate[order] = pre * rate / m
         return out.reshape(t.shape), out_rate.reshape(t.shape)
 
     return dist
@@ -1039,7 +1046,7 @@ def _weak_sup(dist: Callable, f: RadialProfile, p: float, m: int, levels: np.nda
     proof, that finds each maximum across which h changes sign once
     between neighbouring samples.
 
-    One query reads d and d' at every level (the engine gives the left
+    One query reads d and t d' at every level (the engine gives the left
     derivative there), just above every lower level and at the samples.
     Each neighbouring pair in one segment with h > 0 below and h < 0 above
     brackets a maximum. All brackets are refined together by Illinois
@@ -1049,11 +1056,13 @@ def _weak_sup(dist: Callable, f: RadialProfile, p: float, m: int, levels: np.nda
 
     def read(t: np.ndarray) -> tuple[float, np.ndarray]:
         # max of t d^(1/p), and h. A level at a peak may round d below 0; far
-        # under a tiny least level the tail's measure may overflow to inf,
-        # and such a t is no candidate
-        d, rate = dist(t, slope=True)
-        d = np.where(d < math.inf, np.maximum(d, 0.0), 0.0)
-        return float(np.max(t * d ** (1.0 / p))), p * d + t * rate
+        # under a tiny least level the tail's measure may overflow to inf.
+        # Such a t is no candidate, and there the tail dominates d, so
+        # h / d -> p - m/gamma > 0
+        d, t_rate = dist(t, slope=True)
+        over = d == math.inf
+        d = np.where(over, 0.0, np.maximum(d, 0.0))
+        return float(np.max(t * d ** (1.0 / p))), np.where(over, math.inf, p * d + t_rate)
 
     n = len(levels)
     inner = _sup_samples(f, p, m)
@@ -1105,35 +1114,48 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
         return _weak_sup(dist, f, p, m, levels)
 
     def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # GL24 terms of int_lo^hi d(t)^(r/p) t^(r-1) dt, one row per node
+        # GL24 terms of int_lo^hi (d(t)^(1/p) t)^r dt/t, one row per node;
+        # d^(1/p) t stays finite where d^(r/p) alone overflows, and a d that
+        # overflows gives inf, not 0 * inf, on a subnormal width
         width = hi - lo
         tt = lo + width * _GL24_X[:, None]
-        return _GL24_W[:, None] * width * dist(tt) ** (r / p) * tt ** (r - 1.0)
+        return _GL24_W[:, None] * (dist(tt) ** (1.0 / p) * tt) ** r / tt * width
 
     acc = 0.0
     if len(levels) > 1:
         for row in node_terms(levels[:-1], levels[1:]):
             acc += float(np.sum(row))
     # bottom region (0, t_min): dyadic descent, then a closed-form remainder
+    # below t_hi. From a subnormal least level the descent stops at its last
+    # distinct positive edge, and before a piece where the tail's d overflows
     edges = levels[0] * 0.5 ** np.arange(65)
+    edges = np.unique(edges[edges > 0])[::-1]
     pieces = node_terms(edges[1:], edges[:-1]).sum(axis=0)
     if has_tail:
         c1, c2 = _tail_coeffs(f, measure)
         alpha = r * (1.0 - m / (p * gamma))
-    for piece, t_hi in zip(pieces, edges[1:]):
+    t_hi = edges[0]
+    for piece, t_lo in zip(pieces, edges[1:]):
+        if not math.isfinite(piece):
+            break
         acc += piece
+        t_hi = t_lo
         if piece < 1e-17 * acc and acc > 0:
             break
     if has_tail:
         # d(t) = E + c1 t^(-m/gamma) below t_hi; integrate the leading term and
-        # the first correction of (1 + E t^{m/gamma}/c1)^{r/p}
-        e_const = float(dist(np.array([t_hi]))[0]) - c1 * t_hi ** (-m / gamma)
-        lead = c1 ** (r / p) * t_hi**alpha / alpha
-        corr = (
-            (r / p) * e_const * c1 ** (r / p - 1.0)
-            * t_hi ** (alpha + m / gamma) / (alpha + m / gamma)
-        )
-        acc += lead + corr
+        # the first correction of (1 + E t^{m/gamma}/c1)^{r/p}, which is below
+        # rounding where d(t_hi) overflows. c1 t^(-m/gamma) is read as the
+        # engine reads it, c2 (v_N/t)^(m/gamma), finite where d(t_hi) is;
+        # t^(-m/gamma) alone may overflow at a subnormal t_hi
+        acc += c1 ** (r / p) * t_hi**alpha / alpha
+        d_hi = float(dist(np.array([t_hi]))[0])
+        if d_hi < math.inf:
+            e_const = d_hi - c2 * (f.values[-1] / t_hi) ** (m / gamma)
+            acc += (
+                (r / p) * e_const * c1 ** (r / p - 1.0)
+                * t_hi ** (alpha + m / gamma) / (alpha + m / gamma)
+            )
     else:
         d_bot = float(dist(np.array([t_hi]))[0])
         acc += d_bot ** (r / p) * t_hi**r / r

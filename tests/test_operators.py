@@ -144,6 +144,59 @@ def test_t_matrix_cache_tells_grids_with_equal_ends_apart():
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
 
 
+def _packed_to_dense(packed, n):
+    # BLAS packed upper triangle, column-major: T[0,0], T[0,1], T[1,1], T[0,2], ...
+    mat = np.zeros((n, n))
+    mat[np.tril_indices(n)[::-1]] = packed
+    return mat
+
+
+def _t_by_rows(k, f):
+    # the reference build: one GL6 row at every node
+    from kplane.operators import _row_contributions
+
+    n = len(f.radii)
+    mat = np.zeros((n, n))
+    for i in range(n):
+        j0, a, b = _row_contributions(f.radii, f.log_radii, k, float(f.radii[i]))
+        mat[i, j0 : n - 1] += a
+        mat[i, j0 + 1 :] += b
+    return mat
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1.0, 3.7])
+def test_t_matrix_one_row_fill_matches_the_row_build(k, dilation):
+    from kplane.operators import _is_geometric, _t_matrix
+
+    f = smooth_profile(4, radii=default_radial_grid(64) / dilation)
+    assert _is_geometric(f.radii)
+    got = _packed_to_dense(_t_matrix(k, f), 64)
+    want = _t_by_rows(k, f)
+    assert np.array_equal(got != 0, want != 0)
+    nz = want != 0
+    assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_packed_t_matches_the_direct_path_on_the_default_grid(k):
+    pr = TransformParams(k, 4)
+    f = smooth_profile(4, tail=5.0, radii=default_radial_grid())
+    a = t_transform(f, pr).values
+    b = t_transform(f, pr, out_radii=f.radii).values
+    assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
+
+
+def test_t_matrix_on_a_perturbed_grid_is_built_row_by_row():
+    from kplane.operators import _is_geometric, _t_matrix
+
+    r = default_radial_grid(64)
+    r[1:-1] *= 1.01
+    f = smooth_profile(3, radii=r)
+    assert not _is_geometric(r)
+    assert np.array_equal(_packed_to_dense(_t_matrix(1, f), 64), _t_by_rows(1, f))
+
+
 def test_t_transform_divergence_and_zero():
     pr = TransformParams(2, 3)
     f = smooth_profile(3, tail=1.5)  # tail 1.5 <= k = 2

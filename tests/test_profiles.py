@@ -623,7 +623,8 @@ def test_engine_slope_is_the_derivative_inside_segments(f, data):
     t = a + (b - a) * data.draw(st.floats(0.2, 0.8))
     lo, hi = t - 1e-5 * (b - a), t + 1e-5 * (b - a)
     dist = _distribution_engine(f, lebesgue_measure(3))
-    d, slope = dist(np.array([t]), slope=True)
+    d, t_slope = dist(np.array([t]), slope=True)
+    slope = t_slope / t
     central = (dist(np.array([hi])) - dist(np.array([lo]))) / (hi - lo)
     assert abs(central[0] - slope[0]) <= 1e-6 * abs(slope[0]) + 1e-9 * d[0] / (b - a)
     # the plain query is the first half of the slope query, bit for bit
@@ -645,6 +646,39 @@ def test_lorentz_weak_norm_raises_no_numpy_warning():
         for f in cases:
             for p in (1.2, 2.0, 3.0):
                 assert lorentz_quasinorm(f, p, math.inf, mu) > 0.0
+
+
+@pytest.mark.parametrize("last, tail", [(1.0, 6.0), (1.0, 2.0), (1e-10, 3.0)])
+def test_lorentz_subnormal_least_level(last, tail):
+    # the dyadic descent from 2.2e-313 underflows to 0, and the tail's measure
+    # overflows at and below the least level; the profile with least level
+    # 1e-100 in its place has the same norms to rounding
+    radii = np.array([1.0, 2.0, 3.0])
+    f = RadialProfile(3, radii, np.array([1.0, 2.2e-313, last]), tail)
+    g = RadialProfile(3, radii, np.array([1.0, 1e-100, last]), tail)
+    mu = lebesgue_measure(3)
+    lorentz = lorentz_quasinorm(f, 2.0, 3.0, mu)
+    assert math.isfinite(lorentz)
+    assert interpolation_check(f, 2.0, 3.0, mu).satisfied
+    for r, got in ((3.0, lorentz), (math.inf, lorentz_quasinorm(f, 2.0, math.inf, mu))):
+        assert abs(got / lorentz_quasinorm(g, 2.0, r, mu) - 1.0) <= 1e-12
+
+
+def test_lorentz_weak_norm_on_subnormal_value_changes():
+    # pieces whose value change is subnormal, where d' = m e* du/dv overflows;
+    # the weak norm is homogeneous, so it is 1e-300 times that of f * 1e300
+    f = RadialProfile(
+        3, np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 2.2e-311, 0.0, 1e-310]), 6.0
+    )
+    mu = lebesgue_measure(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = lorentz_quasinorm(f, 2.0, math.inf, mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lorentz_quasinorm(f, 2.0, math.inf, mu) == quiet
+    scaled = lorentz_quasinorm(f.scaled(1e300), 2.0, math.inf, mu)
+    assert abs(quiet / (1e-300 * scaled) - 1.0) <= 1e-12
 
 
 def test_profiles_import_leaves_scipy_optimize_unloaded():
