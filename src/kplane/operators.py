@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sf
-from scipy.linalg import blas
 
 from .errors import TailDivergenceError, UndefinedRatioError
 from .params import TransformParams, radial_conversion_factor
@@ -89,24 +88,24 @@ def extremizer_profile(spec: ExtremizerSpec, radii: np.ndarray | None = None) ->
 
 # The integral along s decomposes over the profile's pieces. On piece
 # [r_j, r_{j+1}] the profile is a hat-function combination of its endpoint
-# values, so T is a matrix in those values; each entry is a GL6 integral in s
-# (the integrand is analytic there, including at s = 0). Row i reads only the
-# nodes j >= i, so T is upper triangular and is stored packed: its upper
-# triangle in BLAS column-major order, n(n+1)/2 doubles, applied by dtpmv.
-# On a geometric grid s = r_i sigma maps row i onto row 0, so
-# T[i, i+d] = (r_i/r_0)^k T[0, d]: one row of GL6 weights fills every column,
-# except that the last column takes only the right-node weights, as no piece
-# lies beyond it. Any other grid builds the rows one by one. Matrices are
-# cached per (k, grid); the gamma-dependent tail beyond the last node is a
-# separate closed-form incomplete-Beta column added per call. The key holds
-# the grid's bytes themselves, so two grids that differ anywhere never share
-# a matrix.
+# values, so T f at radius r is a row of weights against those values; each
+# weight is a GL6 integral in s (the integrand is analytic there, including
+# at s = 0). The row at r reads only the nodes at or beyond r, so on f's own
+# grid T is upper triangular. On a geometric grid s = r_i sigma maps the row
+# at r_i onto the row at r_0: T[i, i+d] = (r_i/r_0)^k T[0, d], and T f is
+# that scale times one correlation of f with the row at r_0. The last node
+# takes only its right-node weights, since no piece lies beyond it. The row,
+# those weights and the scale, O(n) numbers, are cached per (k, grid); the
+# key holds the grid's bytes themselves, so two grids that differ anywhere
+# never share a row. Any other grid, and any explicit set of output radii,
+# computes one row per output radius. The gamma-dependent tail beyond the
+# last node is a separate closed-form incomplete-Beta term added per call.
 
-_T_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_T_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 _T_CACHE_MAX = 4
 # A node computed from its logarithm, as np.geomspace does, is rounded by
 # about eps |log r| relative; a grid whose ratios r_{j+1}/r_j agree to a few
-# times that is geometric for the one-row fill.
+# times that is geometric for the one-row reading.
 _GEOMETRIC_ULPS = 4.0
 
 
@@ -131,45 +130,35 @@ def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
 
 
 def _is_geometric(radii: np.ndarray) -> bool:
-    """Whether the node ratios agree to the rounding of nodes made from logs."""
+    """Whether n >= 2 and the node ratios agree to the rounding of nodes made from logs."""
     q = radii[1:] / radii[:-1]
     log_span = max(abs(math.log(radii[0])), abs(math.log(radii[-1])))
     tol = _GEOMETRIC_ULPS * np.finfo(float).eps * (1.0 + log_span)
-    return len(q) == 0 or bool(np.ptp(q) <= tol * q[0])
+    return len(q) > 0 and bool(np.ptp(q) <= tol * q[0])
 
 
-def _t_matrix(k: int, f: RadialProfile) -> np.ndarray:
-    """T on f's grid as its packed upper triangle (column-major, for dtpmv)."""
+def _kernel_row(k: int, f: RadialProfile):
+    """(row, last, scale) of T on f's geometric grid, or None on any other grid.
+
+    For i < n - 1, T[i, i+d] = scale_i row[d] when i + d < n - 1, and
+    T[i, n-1] = scale_i last[i]; the last node's own row is 0.
+    """
     key = (k, f.radii.tobytes())
     hit = _T_CACHE.get(key)
     if hit is not None:
         _T_CACHE.move_to_end(key)
         return hit
-    radii, u = f.radii, f.log_radii
-    n = len(radii)
-    # column j of the packed triangle holds rows 0..j from offset j(j+1)/2
-    start = np.arange(n) * (np.arange(n) + 1) // 2
-    packed = np.zeros(n * (n + 1) // 2)
-    if _is_geometric(radii):
-        _, a, b = _row_contributions(radii, u, k, float(radii[0]))
-        row = np.append(a, 0.0)
-        row[1:] += b
-        scale = (radii / radii[0]) ** k
-        # T[i, j] = scale_i row[j - i], read down column j as row[j::-1]
-        rev = row[::-1]
-        for j in range(n - 1):
-            packed[start[j] : start[j] + j + 1] = scale[: j + 1] * rev[n - 1 - j :]
-        packed[start[-1] : start[-1] + n - 1] = scale[:-1] * b[::-1]
-    else:
-        for i in range(n):
-            j0, a, b = _row_contributions(radii, u, k, float(radii[i]))
-            row = np.append(a, 0.0)
-            row[1:] += b
-            packed[start[j0:] + i] = row
-    _T_CACHE[key] = packed
+    radii = f.radii
+    if not _is_geometric(radii):
+        return None
+    _, a, b = _row_contributions(radii, f.log_radii, k, float(radii[0]))
+    row = a.copy()
+    row[1:] += b[:-1]
+    entry = (row, b[::-1].copy(), (radii[:-1] / radii[0]) ** k)
+    _T_CACHE[key] = entry
     if len(_T_CACHE) > _T_CACHE_MAX:
         _T_CACHE.popitem(last=False)
-    return packed
+    return entry
 
 
 def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -> np.ndarray:
@@ -193,11 +182,11 @@ def t_transform(
 ) -> RadialProfile:
     """Radial reduction of the k-plane transform of a radial profile.
 
-    Returns the profile of T f on f's own grid (cached matrix path) or on
-    out_radii (direct path, no matrix is stored; use this with dense inputs
-    and a sparse set of output radii). The output decays like
-    r^-(tail_exponent - k), which must be a positive exponent or the line
-    integral itself diverges.
+    Returns the profile of T f on f's own grid, or on out_radii when given.
+    On a geometric grid T f is one correlation of f with a cached kernel row;
+    any other grid, and out_radii, take one row of weights per output radius.
+    Memory is O(n) either way. The output decays like r^-(tail_exponent - k),
+    which must be a positive exponent or the line integral itself diverges.
     """
     k = params.k
     gamma = f.tail_exponent
@@ -205,11 +194,15 @@ def t_transform(
         raise TailDivergenceError(
             f"transform diverges: tail exponent {gamma} <= k = {k}"
         )
-    if out_radii is None:
+    kernel = _kernel_row(k, f) if out_radii is None else None
+    if kernel is not None:
+        row, last, scale = kernel
         out_r = f.radii
-        core = blas.dtpmv(len(out_r), _t_matrix(k, f), f.values)
+        # the non-negative lags: sum_d row[d] f[i+d] over the nodes before the last
+        inner = np.correlate(f.values[:-1], row, "full")[len(row) - 1 :]
+        core = np.append(scale * (inner + f.values[-1] * last), 0.0)
     else:
-        out_r = np.asarray(out_radii, dtype=float)
+        out_r = f.radii if out_radii is None else np.asarray(out_radii, dtype=float)
         core = np.empty_like(out_r)
         for i, r in enumerate(out_r):
             j0, a, b = _row_contributions(f.radii, f.log_radii, k, float(r))

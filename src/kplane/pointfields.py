@@ -311,19 +311,19 @@ class BallIndicator:
         r = self.radius * rng.random(n) ** (1.0 / self.d)
         return self.center + z * r[:, None]
 
+    def _distance_on_line(self, p0, e):
+        delta = np.asarray(p0, dtype=float) - self.center
+        return _line_minimum(np.eye(self.d), delta, np.asarray(e, dtype=float))
+
     def line_focus(self, p0, e):
-        delta = self.center - np.asarray(p0, dtype=float)
-        e = np.asarray(e, dtype=float)
-        ee = np.einsum("...i,...i->...", e, e)
-        lam = np.einsum("...i,...i->...", delta, e) / ee
+        lam, ee, _ = self._distance_on_line(p0, e)
         return lam, self.radius / np.sqrt(ee)
 
     def line_integral(self, p0, e):
-        """Chord length of the line in lambda units: 2 sqrt(R^2 - dist^2)/|e|."""
-        delta = self.center - np.asarray(p0, dtype=float)
-        e = np.asarray(e, dtype=float)
-        ee = np.einsum("...i,...i->...", e, e)
-        lam = np.einsum("...i,...i->...", delta, e) / ee
-        dist2 = np.einsum("...i,...i->...", delta, delta) - lam**2 * ee
+        """Chord length of the line in lambda units: 2 sqrt(R^2 - dist^2)/|e|.
+
+        dist^2 is read at the foot point, as _line_minimum reads c*.
+        """
+        _, ee, dist2 = self._distance_on_line(p0, e)
         chord2 = np.clip(self.radius**2 - dist2, 0.0, None)
         return 2.0 * np.sqrt(chord2 / ee)

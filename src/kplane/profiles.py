@@ -1113,13 +1113,25 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
     if r == math.inf:
         return _weak_sup(dist, f, p, m, levels)
 
+    if has_tail:
+        c1, c2 = _tail_coeffs(f, measure)
+        alpha = r * (1.0 - m / (p * gamma))
+
     def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         # GL24 terms of int_lo^hi (d(t)^(1/p) t)^r dt/t, one row per node;
-        # d^(1/p) t stays finite where d^(r/p) alone overflows, and a d that
-        # overflows gives inf, not 0 * inf, on a subnormal width
+        # d^(1/p) t stays finite where d^(r/p) alone overflows. Where d itself
+        # overflows, the tail's leading term c2 (v_N/t)^(m/gamma) is all of it
+        # to rounding, and d^(1/p) t is read from it in logs
         width = hi - lo
         tt = lo + width * _GL24_X[:, None]
-        return _GL24_W[:, None] * (dist(tt) ** (1.0 / p) * tt) ** r / tt * width
+        dt = dist(tt)
+        g = dt ** (1.0 / p) * tt
+        over = np.isinf(dt)
+        if has_tail and np.any(over):
+            lt = np.log(tt[over])
+            lead = math.log(c2) + (m / gamma) * (math.log(f.values[-1]) - lt)
+            g[over] = np.exp(lead / p + lt)
+        return _GL24_W[:, None] * g**r / tt * width
 
     acc = 0.0
     if len(levels) > 1:
@@ -1127,13 +1139,10 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
             acc += float(np.sum(row))
     # bottom region (0, t_min): dyadic descent, then a closed-form remainder
     # below t_hi. From a subnormal least level the descent stops at its last
-    # distinct positive edge, and before a piece where the tail's d overflows
+    # distinct positive edge, and before a piece whose terms overflow
     edges = levels[0] * 0.5 ** np.arange(65)
     edges = np.unique(edges[edges > 0])[::-1]
     pieces = node_terms(edges[1:], edges[:-1]).sum(axis=0)
-    if has_tail:
-        c1, c2 = _tail_coeffs(f, measure)
-        alpha = r * (1.0 - m / (p * gamma))
     t_hi = edges[0]
     for piece, t_lo in zip(pieces, edges[1:]):
         if not math.isfinite(piece):

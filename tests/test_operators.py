@@ -1,6 +1,9 @@
 """The radial reduction, the inversion symmetry, and the rearrangement."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,51 +131,36 @@ def test_t_transform_matrix_and_direct_paths_agree():
 
 
 def test_t_matrix_cache_tells_grids_with_equal_ends_apart():
-    # same length and endpoints, different interior nodes: each grid must get
-    # its own cached matrix, so the matrix path matches the direct path on both
-    from kplane.operators import _t_matrix
-
+    # same length and endpoints, different interior nodes: the first grid's
+    # cached row must not serve the second, so the correlation path matches
+    # the row path on both
     pr = TransformParams(1, 3)
     r1 = default_radial_grid(64)
     r2 = r1.copy()
     r2[1:-1] *= 1.01
     f1, f2 = smooth_profile(3, radii=r1), smooth_profile(3, radii=r2)
-    assert not np.array_equal(_t_matrix(1, f1), _t_matrix(1, f2))
     for f in (f1, f2):
         a = t_transform(f, pr).values
         b = t_transform(f, pr, out_radii=f.radii).values
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
 
 
-def _packed_to_dense(packed, n):
-    # BLAS packed upper triangle, column-major: T[0,0], T[0,1], T[1,1], T[0,2], ...
-    mat = np.zeros((n, n))
-    mat[np.tril_indices(n)[::-1]] = packed
-    return mat
-
-
-def _t_by_rows(k, f):
-    # the reference build: one GL6 row at every node
-    from kplane.operators import _row_contributions
-
-    n = len(f.radii)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        j0, a, b = _row_contributions(f.radii, f.log_radii, k, float(f.radii[i]))
-        mat[i, j0 : n - 1] += a
-        mat[i, j0 + 1 :] += b
-    return mat
+def _t_columns(k, f, **kw):
+    # T's columns, entry by entry: the transform of each unit profile
+    pr = TransformParams(k, f.d)
+    units = np.eye(len(f.radii))
+    return np.column_stack([t_transform(f.with_values(e), pr, **kw).values for e in units])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("dilation", [1.0, 3.7])
 def test_t_matrix_one_row_fill_matches_the_row_build(k, dilation):
-    from kplane.operators import _is_geometric, _t_matrix
+    from kplane.operators import _is_geometric
 
     f = smooth_profile(4, radii=default_radial_grid(64) / dilation)
     assert _is_geometric(f.radii)
-    got = _packed_to_dense(_t_matrix(k, f), 64)
-    want = _t_by_rows(k, f)
+    got = _t_columns(k, f)
+    want = _t_columns(k, f, out_radii=f.radii)
     assert np.array_equal(got != 0, want != 0)
     nz = want != 0
     assert np.max(np.abs(got - want)[nz] / np.abs(want[nz])) <= 1e-12
@@ -188,13 +176,36 @@ def test_packed_t_matches_the_direct_path_on_the_default_grid(k):
 
 
 def test_t_matrix_on_a_perturbed_grid_is_built_row_by_row():
-    from kplane.operators import _is_geometric, _t_matrix
+    from kplane.operators import _is_geometric
 
     r = default_radial_grid(64)
     r[1:-1] *= 1.01
     f = smooth_profile(3, radii=r)
     assert not _is_geometric(r)
-    assert np.array_equal(_packed_to_dense(_t_matrix(1, f), 64), _t_by_rows(1, f))
+    assert np.array_equal(_t_columns(1, f), _t_columns(1, f, out_radii=r))
+
+
+def test_t_transform_memory_is_linear_in_the_grid():
+    # a stored 8192-node matrix alone would take 256 MB
+    from kplane import operators
+
+    pr = TransformParams(1, 3)
+    h = extremizer_profile(ExtremizerSpec(pr), default_radial_grid(8192))
+    operators._T_CACHE.pop((1, h.radii.tobytes()), None)
+    tracemalloc.start()
+    try:
+        t_transform(h, pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_operators_import_leaves_scipy_linalg_unloaded():
+    # T is applied with numpy alone
+    code = "import sys, kplane.operators; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_t_transform_divergence_and_zero():

@@ -390,6 +390,19 @@ def test_ball_line_integral_chords():
     assert abs(width - 2.0) < 1e-14
 
 
+def test_ball_line_integral_far_from_center():
+    # |delta|^2 - lambda^2 |e|^2 cancels to 2 at |delta| ~ 1e8; the distance
+    # read at the foot point gives the chord of the line at height 0.5
+    f = BallIndicator(np.zeros(2), 1.0)
+    p0, e = np.array([1e8, 0.5]), np.array([1.0, 0.0])
+    assert abs(float(f.line_integral(p0, e)) - 2.0 * math.sqrt(0.75)) <= 1e-12
+    lam, width = f.line_focus(p0, e)
+    assert lam == -1e8 and width == 1.0
+    # batched over lines, the far line keeps its own value
+    batch = f.line_integral(np.array([[0.0, 0.5], [1e8, 0.5]]), e)
+    assert np.max(np.abs(batch - 2.0 * math.sqrt(0.75))) <= 1e-12
+
+
 def test_ball_sampler_uniform():
     center = np.array([1.0, -2.0, 0.5])
     f = BallIndicator(center, 1.5)

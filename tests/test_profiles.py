@@ -664,6 +664,20 @@ def test_lorentz_subnormal_least_level(last, tail):
         assert abs(got / lorentz_quasinorm(g, 2.0, r, mu) - 1.0) <= 1e-12
 
 
+def test_lorentz_level_segment_where_the_tail_measure_overflows():
+    # on the segment [1e-300, 2e-300] the tail's d overflows; d^(1/p) t is
+    # read from its leading term, so the norm is finite and equals that of
+    # the profile with 2e-100 and 1e-100 in place of 2e-300 and 1e-300
+    radii = np.array([1.0, 2.0, 3.0, 4.0])
+    mu = lebesgue_measure(3)
+    f = RadialProfile(3, radii, np.array([1.0, 2e-300, 1e-300, 1.0]), 2.0)
+    g = RadialProfile(3, radii, np.array([1.0, 2e-100, 1e-100, 1.0]), 2.0)
+    got = lorentz_quasinorm(f, 2.0, 3.0, mu)
+    assert math.isfinite(got)
+    assert abs(got / lorentz_quasinorm(g, 2.0, 3.0, mu) - 1.0) <= 1e-12
+    assert abs(got - 20.01373958) <= 1e-8
+
+
 def test_lorentz_weak_norm_on_subnormal_value_changes():
     # pieces whose value change is subnormal, where d' = m e* du/dv overflows;
     # the weak norm is homogeneous, so it is 1e-300 times that of f * 1e300
