@@ -288,6 +288,11 @@ class _PeakKernel:
     variable that this kernel fits once. K = L^(d/2) P(sqrt L) with P smooth;
     P is interpolated at Chebyshev points of sqrt L from a 48-node rule in
     theta, y = y_mid + y_half sin(theta), which absorbs the endpoint zeros.
+
+    The fit leaves P's power-basis coefficients, highest power first, in
+    coef. With q = sqrt L a read is one square root and one in-place Horner
+    loop that carries P and P' together; then K = q^(d-2) L P and
+    dK/dL = q^(d-2) (d P + q P')/2.
     """
 
     def __init__(self, ker: _LayerKernel, m: int, lam_max: float) -> None:
@@ -316,10 +321,20 @@ class _PeakKernel:
         q = np.sqrt(lam)
         p, dp = np.full_like(q, self.coef[0]), np.zeros_like(q)
         for c in self.coef[1:]:
-            dp = dp * q + p
-            p = p * q + c
+            dp *= q
+            dp += p
+            p *= q
+            p += c
         q_d2 = q if self.d == 3 else q ** (self.d - 2)
-        return q_d2 * lam * p, 0.5 * q_d2 * (self.d * p + q * dp)
+        k_val = q_d2 * lam
+        k_val *= p
+        # d P + q P', in the buffers of P and P'
+        p *= self.d
+        dp *= q
+        p += dp
+        k_der = 0.5 * q_d2
+        k_der *= p
+        return k_val, k_der
 
 
 def _power_integral(c: np.ndarray, llo, lhi, lref, s: float) -> np.ndarray:
@@ -401,7 +416,7 @@ class _InversionLayerCake:
         cap = np.full(len(ua), np.inf)
         cap[: len(split)][split] = np.where(kernel_read, np.exp(log_end), np.inf)
         cap[len(split) :] = cap[: len(split)][split]
-        self.peak_u = uc[split][kernel_read]
+        self.peak_weight = np.exp(-uc[split][kernel_read])
         self.peak_log = log_peak[kernel_read]
         self.peak_top = np.exp(log_peak[kernel_read])
         self.peak_end = np.exp(log_end[kernel_read])
@@ -553,20 +568,12 @@ class _InversionLayerCake:
         stop = np.minimum(
             ts.searchsorted(self.hi, side="left"), ts.searchsorted(self.cap, side="right")
         )
-        for piece, level in _pair_blocks(first, stop, n):
+        for piece, level in _pair_blocks(first, stop, n, per_pair=len(_GL8_X)):
             v_add, d_add = self._crossed(piece, ts[level], lt[level])
             val += np.bincount(level, weights=v_add, minlength=n)
             der += np.bincount(level, weights=d_add, minlength=n)
-        # whole peaks, above both ends of their piece
         if self.peak_kernel is not None:
-            first = ts.searchsorted(self.peak_end, side="right")
-            stop = ts.searchsorted(self.peak_top, side="left")
-            for peak, level in _pair_blocks(first, stop, n):
-                k_val, k_der = self.peak_kernel(np.maximum(self.peak_log[peak] - lt[level], 0.0))
-                weight = np.exp(-self.peak_u[peak])
-                val += np.bincount(level, weights=weight * k_val / m, minlength=n)
-                der += np.bincount(level, weights=weight * k_der, minlength=n)
-
+            self._peaks(ts, lt, val, der)
         if not ker.odd:
             self._band(ts, lt, at, val, der)
 
@@ -621,14 +628,15 @@ class _InversionLayerCake:
         cut_lo = np.where(use, first_block * _BAND_BLOCK, stop)
         cut_hi = np.where(use, stop_block * _BAND_BLOCK, stop)
         for level, block in _pair_blocks(
-            np.where(use, first_block, 0), np.where(use, stop_block, 0), len(self.block_floor)
+            np.where(use, first_block, 0), np.where(use, stop_block, 0), len(self.block_floor),
+            per_pair=_BLOCK_NODES,
         ):
             w_val, w_der = ker.from_a(self.block_nodes[block] * scale[level, None])
             wt = self.block_weights[block]
             val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
             der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
         for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
-            for level, pos in _pair_blocks(lo_pos, hi_pos, len(self.order)):
+            for level, pos in _pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
                 piece = self.order[pos]
                 a_lo = self.lo_root[piece] * scale[level]
                 a_hi = self.hi_root[piece] * scale[level]
@@ -647,6 +655,25 @@ class _InversionLayerCake:
                     wt = weight[p_sel]
                     val += np.bincount(l_sel, weights=np.sum(wt * w_val, axis=1), minlength=n)
                     der += np.bincount(l_sel, weights=np.sum(wt * w_der, axis=1), minlength=n)
+
+    def _peaks(self, ts, lt, val, der) -> None:
+        """Add the whole peaks, at the sorted levels above both ends of their piece.
+
+        Each (peak, level) pair reads the kernel at log(phi_c/t) and adds
+        e^(-u_c)/m K and e^(-u_c) K', with e^(-u_c) taken once per peak.
+        """
+        n = len(ts)
+        first = ts.searchsorted(self.peak_end, side="right")
+        stop = ts.searchsorted(self.peak_top, side="left")
+        for peak, level in _pair_blocks(first, stop, n):
+            lam = self.peak_log[peak] - lt[level]
+            k_val, k_der = self.peak_kernel(np.maximum(lam, 0.0, out=lam))
+            weight = self.peak_weight[peak]
+            k_val *= weight
+            k_val /= self.m
+            k_der *= weight
+            val += np.bincount(level, weights=k_val, minlength=n)
+            der += np.bincount(level, weights=k_der, minlength=n)
 
     def _crossed(self, piece, t, lt):
         """Contributions of sub-pieces crossing their levels: (W, W'A) integrals."""
@@ -828,7 +855,9 @@ def competing_iterate(
     Both operators are exact isometries, so each iterate is rescaled to the
     initial norm; without this the output grid's interpolation error (about
     1e-5 per step at 2048 nodes) compounds into a pure amplitude drift over
-    hundreds of iterations while the shape stays converged.
+    hundreds of iterations while the shape stays converged. A start whose
+    S-image is unbounded near the origin is reported in the warnings, with
+    the raw norm defect norms[1]/norms[0] - 1 of its first step.
 
     nrho and ns, the field grid of the former step, are accepted for existing
     callers and ignored.
@@ -842,7 +871,6 @@ def competing_iterate(
     h = extremizer_profile(ExtremizerSpec(params), radii=out_radii)
     norm0 = lp_norm(f0, p, mu)
     target = h.scaled(norm0 / lp_norm(h, p, mu))
-    warning = _unbounded_image_warning(f0.tail_exponent, params.k + 1) if f0.values[-1] > 0 else None
 
     kept = [f0]
     distances = [lp_distance(f0, target, p, mu) / norm0]
@@ -868,6 +896,13 @@ def competing_iterate(
         n_done = n
     if kept[-1] is not g:
         kept.append(g)
+    warning = None
+    if f0.values[-1] > 0:
+        warning = _unbounded_image_warning(f0.tail_exponent, params.k + 1)
+    if warning is not None and len(norms) > 1:
+        # the output grid reads the image as constant below its first node,
+        # so an unbounded image loses norm there, which the rescale hides
+        warning += f"; step-1 raw norm defect {norms[1] / norms[0] - 1.0:.3e}"
     return ConvergenceReport(
         iterates_kept=kept,
         distances=np.array(distances),

@@ -269,27 +269,30 @@ def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) ->
     return measure.prefactor * total
 
 
-# (piece, level) crossing pairs per batch; more are swept in blocks of levels
+# node evaluations of (piece, level) crossing pairs per batch; more are swept
+# in blocks of levels
 _PAIR_BLOCK = 1 << 15
 
 
-def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int):
+def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int, per_pair: int = 1):
     """(piece, level) index pairs of the runs first[j] .. stop[j] - 1, in blocks.
 
-    Each piece meets one contiguous run of the sorted levels. Up to
-    _PAIR_BLOCK pairs come in one batch; more come in blocks of levels that
-    keep each batch at about _PAIR_BLOCK.
+    Each piece meets one contiguous run of the sorted levels, and each pair
+    costs per_pair node evaluations. Up to _PAIR_BLOCK evaluations come in
+    one batch; more come in blocks of levels that keep each batch at about
+    _PAIR_BLOCK.
     """
     total = int(np.maximum(stop - first, 0).sum())
+    block = max(_PAIR_BLOCK // per_pair, 1)
     blocks = [(first, stop)]
-    if total > _PAIR_BLOCK:
+    if total > block:
         live = stop > first
         per_level = np.cumsum(
             np.bincount(first, weights=live, minlength=n_levels + 1)
             - np.bincount(stop, weights=live, minlength=n_levels + 1)
         )[:n_levels]
         edges = np.searchsorted(
-            np.cumsum(per_level), np.arange(_PAIR_BLOCK, total, _PAIR_BLOCK), side="left"
+            np.cumsum(per_level), np.arange(block, total, block), side="left"
         )
         blocks = (
             (np.maximum(first, b0), np.minimum(stop, b1))
@@ -304,7 +307,7 @@ def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int):
             yield live.repeat(n), np.arange(ends[-1]) + (start[live] - (ends - n)).repeat(n)
 
 
-def _distribution_engine(f: RadialProfile, measure: WeightedMeasure) -> Callable:
+class _DistributionEngine:
     """t -> exact measure of {f >= t} for the PL interpretation, t > 0 an array.
 
     A linear-in-log-r piece contributes its full measure when t <= its lower
@@ -324,78 +327,141 @@ def _distribution_engine(f: RadialProfile, measure: WeightedMeasure) -> Callable
     the open segment just below t. t d' stays finite wherever d does, while
     d' alone overflows at a subnormal t or on a piece whose value change is
     subnormal.
-    """
-    m = measure.weight_exponent
-    pre = measure.prefactor
-    u = f.log_radii
-    v = f.values
-    ua, ub = u[:-1], u[1:]
-    va, vb = v[:-1], v[1:]
-    du = ub - ua
-    ea, eb = np.exp(m * ua), np.exp(m * ub)
-    lo = np.minimum(va, vb)
-    hi = np.maximum(va, vb)
-    dv = vb - va
-    # a crossed piece keeps the part past its crossing: eb - e* when it
-    # increases, e* - ea when it decreases, i.e. sign * (e* - base)
-    sign = np.where(dv > 0, -1.0, 1.0)
-    base = np.where(dv > 0, eb, ea)
-    by_lo = np.argsort(lo, kind="stable")
-    lo_sorted = lo[by_lo]
-    full_above = np.concatenate([np.cumsum((eb - ea)[by_lo][::-1])[::-1], [0.0]])
-    # only pieces with lo < hi can be crossed
-    sloped = np.flatnonzero(dv != 0)
-    s_lo, s_hi = lo[sloped], hi[sloped]
-    head = f.radii[0] ** m
-    r_n = f.radii[-1]
 
-    def dist(t: np.ndarray, slope: bool = False):
+    segments() reads d at quadrature nodes of level segments, bit for bit as
+    the threshold query reads them.
+    """
+
+    def __init__(self, f: RadialProfile, measure: WeightedMeasure) -> None:
+        self.m = m = measure.weight_exponent
+        self.pre = measure.prefactor
+        u = f.log_radii
+        v = f.values
+        self.ua = u[:-1]
+        self.va = v[:-1]
+        self.du = u[1:] - u[:-1]
+        ea, eb = np.exp(m * u[:-1]), np.exp(m * u[1:])
+        lo = np.minimum(v[:-1], v[1:])
+        hi = np.maximum(v[:-1], v[1:])
+        self.dv = dv = v[1:] - v[:-1]
+        # a crossed piece keeps the part past its crossing: eb - e* when it
+        # increases, e* - ea when it decreases, i.e. sign * (e* - base)
+        self.sign = np.where(dv > 0, -1.0, 1.0)
+        self.base = np.where(dv > 0, eb, ea)
+        by_lo = np.argsort(lo, kind="stable")
+        self.lo_sorted = lo[by_lo]
+        self.full_above = np.concatenate([np.cumsum((eb - ea)[by_lo][::-1])[::-1], [0.0]])
+        # only pieces with lo < hi can be crossed
+        self.sloped = sloped = np.flatnonzero(dv != 0)
+        self.s_lo, self.s_hi = lo[sloped], hi[sloped]
+        self.head = f.radii[0] ** m
+        self.v_0, self.v_n = v[0], v[-1]
+        self.r_n = f.radii[-1]
+        self.gamma = f.tail_exponent
+
+    def _crossed(self, piece, t):
+        """The parts past the crossing of sloped pieces piece at thresholds t."""
+        # in place, in the order of m (u_a + du clip((t - v_a)/dv, 0, 1))
+        estar = t - self.va[piece]
+        estar /= self.dv[piece]
+        np.clip(estar, 0.0, 1.0, out=estar)
+        estar *= self.du[piece]
+        estar += self.ua[piece]
+        estar *= self.m
+        np.exp(estar, out=estar)
+        part = estar - self.base[piece]
+        part *= self.sign[piece]
+        return estar, part
+
+    def _closed_form(self, t, total, at_head, in_tail, t_rate=None):
+        """Add head and tail to the piece sums at thresholds t, then scale them.
+
+        at_head is where t <= v_0, and in_tail indexes the t <= v_N.
+        """
+        m = self.m
+        total += np.where(at_head, self.head, 0.0)
+        # far below the tail's anchor value the measure overflows to inf, in
+        # the tail term or once scaled
+        with np.errstate(over="ignore"):
+            if self.v_n > 0:
+                r_t = self.r_n * (self.v_n / t[in_tail]) ** (1.0 / self.gamma)
+                total[in_tail] += r_t**m - self.r_n**m
+                if t_rate is not None:
+                    t_rate[in_tail] -= (m / self.gamma) * r_t**m
+            total = self.pre * total / m
+            if t_rate is not None:
+                t_rate = self.pre * t_rate / m
+        return total, t_rate
+
+    def __call__(self, t: np.ndarray, slope: bool = False):
         t = np.asarray(t, dtype=float)
         # one pass that also rejects NaN, for which every comparison is False
         if not (t > 0).all():
             raise ValueError("distribution function is defined for t > 0, not NaN")
+        m = self.m
         order = t.ravel().argsort(kind="stable")
         ts = t.ravel()[order]
-        total = full_above[lo_sorted.searchsorted(ts, side="left")]
+        total = self.full_above[self.lo_sorted.searchsorted(ts, side="left")]
         t_rate = np.zeros_like(total) if slope else None
         # sloped piece j crosses the sorted thresholds first[j] .. stop[j] - 1
-        first = ts.searchsorted(s_lo, side="right")
-        stop = ts.searchsorted(s_hi, side="right")
+        first = ts.searchsorted(self.s_lo, side="right")
+        stop = ts.searchsorted(self.s_hi, side="right")
         for j, at in _pair_blocks(first, stop, len(ts)):
-            piece = sloped[j]
-            frac = np.minimum(np.maximum((ts[at] - va[piece]) / dv[piece], 0.0), 1.0)
-            estar = np.exp(m * (ua[piece] + du[piece] * frac))
-            part = sign[piece] * (estar - base[piece])
+            piece = self.sloped[j]
+            estar, part = self._crossed(piece, ts[at])
             total += np.bincount(at, weights=part, minlength=len(ts))
             if slope:
                 # |t/dv| <= hi/ulp(hi) for a crossed piece, so no overflow
-                part = sign[piece] * m * estar * du[piece] * (ts[at] / dv[piece])
+                part = self.sign[piece] * m * estar * self.du[piece] * (ts[at] / self.dv[piece])
                 t_rate += np.bincount(at, weights=part, minlength=len(ts))
-        total += np.where(ts <= v[0], head, 0.0)
+        total, t_rate = self._closed_form(
+            ts, total, ts <= self.v_0, (ts <= self.v_n).nonzero(), t_rate
+        )
         out = np.empty_like(total)
-        out_rate = np.empty_like(total) if slope else None
-        # far below the tail's anchor value the measure overflows to inf, in
-        # the tail term or once scaled
-        with np.errstate(over="ignore"):
-            if v[-1] > 0:
-                r_t = r_n * (v[-1] / ts) ** (1.0 / f.tail_exponent)
-                in_tail = ts <= v[-1]
-                total += np.where(in_tail, r_t**m - r_n**m, 0.0)
-                if slope:
-                    t_rate -= np.where(in_tail, (m / f.tail_exponent) * r_t**m, 0.0)
-            out[order] = pre * total / m
-            if slope:
-                out_rate[order] = pre * t_rate / m
+        out[order] = total
         if not slope:
             return out.reshape(t.shape)
+        out_rate = np.empty_like(total)
+        out_rate[order] = t_rate
         return out.reshape(t.shape), out_rate.reshape(t.shape)
 
-    return dist
+    def segments(self, lo: np.ndarray, hi: np.ndarray, x: np.ndarray):
+        """(t, d(t)) at t = lo + (hi - lo) x: a row per node x in (0, 1), a column per segment.
+
+        The segments [lo, hi] are positive, disjoint and in increasing order,
+        and none holds a node value of f strictly inside. On (lo, hi] the
+        full pieces, the crossed pieces, the head and the tail are then
+        fixed: the full ones are one suffix per segment, and piece j crosses
+        the segments with lo_j <= lo and hi <= hi_j, a contiguous run. Each
+        (segment, piece) pair is read on all nodes as one dense block, and
+        the blocks are summed in piece order, as the threshold query sums
+        them. A node that rounds onto lo itself is read by the threshold
+        query.
+        """
+        tt = lo + (hi - lo) * x[:, None]
+        n_x, n_seg = tt.shape
+        crossed = np.zeros(n_x * n_seg)
+        first = lo.searchsorted(self.s_lo, side="left")
+        stop = hi.searchsorted(self.s_hi, side="right")
+        for j, seg in _pair_blocks(first, stop, n_seg, per_pair=n_x):
+            _, part = self._crossed(self.sloped[j], tt[:, seg])
+            at = (seg + n_seg * np.arange(n_x)[:, None]).ravel()
+            crossed += np.bincount(at, weights=part.ravel(), minlength=n_x * n_seg)
+        total = self.full_above[self.lo_sorted.searchsorted(hi, side="left")] + crossed.reshape(
+            n_x, n_seg
+        )
+        in_tail = (slice(None), (hi <= self.v_n).nonzero()[0])
+        out, _ = self._closed_form(tt, total, hi <= self.v_0, in_tail)
+        # t grows with x, so only the least node of a segment can round onto lo
+        if (tt[x.argmin()] <= lo).any():
+            edge = tt <= lo
+            out[edge] = self(tt[edge])
+        return tt, out
 
 
 def _profile_distribution(f: RadialProfile, t, measure: WeightedMeasure):
     """Exact measure of {f >= t} for the PL interpretation; t scalar or array."""
-    out = _distribution_engine(f, measure)(np.atleast_1d(np.asarray(t, dtype=float)))
+    out = _DistributionEngine(f, measure)(np.atleast_1d(np.asarray(t, dtype=float)))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -1109,7 +1175,7 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
             f"with {m}/{gamma} >= p"
         )
 
-    dist = _distribution_engine(f, measure)
+    dist = _DistributionEngine(f, measure)
     if r == math.inf:
         return _weak_sup(dist, f, p, m, levels)
 
@@ -1123,8 +1189,7 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
         # overflows, the tail's leading term c2 (v_N/t)^(m/gamma) is all of it
         # to rounding, and d^(1/p) t is read from it in logs
         width = hi - lo
-        tt = lo + width * _GL24_X[:, None]
-        dt = dist(tt)
+        tt, dt = dist.segments(lo, hi, _GL24_X)
         g = dt ** (1.0 / p) * tt
         over = np.isinf(dt)
         if has_tail and np.any(over):
@@ -1135,14 +1200,15 @@ def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeas
 
     acc = 0.0
     if len(levels) > 1:
-        for row in node_terms(levels[:-1], levels[1:]):
-            acc += float(np.sum(row))
+        for row_sum in node_terms(levels[:-1], levels[1:]).sum(axis=1):
+            acc += float(row_sum)
     # bottom region (0, t_min): dyadic descent, then a closed-form remainder
     # below t_hi. From a subnormal least level the descent stops at its last
     # distinct positive edge, and before a piece whose terms overflow
     edges = levels[0] * 0.5 ** np.arange(65)
-    edges = np.unique(edges[edges > 0])[::-1]
-    pieces = node_terms(edges[1:], edges[:-1]).sum(axis=0)
+    edges = np.unique(edges[edges > 0])
+    pieces = node_terms(edges[:-1], edges[1:]).sum(axis=0)[::-1]
+    edges = edges[::-1]
     t_hi = edges[0]
     for piece, t_lo in zip(pieces, edges[1:]):
         if not math.isfinite(piece):
@@ -1187,7 +1253,8 @@ def lorentz_quasinorm(
     rearrangement.
 
     Finite r integrates d^{r/p} t^{r-1} with GL24 on every level segment
-    and a dyadic descent below the least level, two batched engine queries.
+    and a dyadic descent below the least level, one segment query of the
+    engine each (see _DistributionEngine.segments).
     r = inf takes every level and every segment's interior maximum: one
     query reads d and its slope d' at both ends of every segment, and
     inside it wherever a long decreasing piece can turn t d^(1/p) back up,

@@ -9,7 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from kplane import RadialProfile, verify, write_profile
+from kplane import (
+    RadialProfile,
+    TransformParams,
+    competing_iterate,
+    default_radial_grid,
+    read_profile,
+    verify,
+    write_profile,
+)
 from kplane.cli import _THREAD_VARS, main
 
 
@@ -119,6 +127,11 @@ def test_iterate_unbounded_start_warns(tmp_path, capsys):
         summary = json.load(fh)
     assert len(summary["warnings"]) == 1
     assert "unbounded near the origin" in summary["warnings"][0]
+    # the run's warning, step-1 raw norm defect included, unchanged
+    r512 = default_radial_grid(512)
+    report = competing_iterate(read_profile(path), TransformParams(1, 3), out_radii=r512)
+    assert summary["warnings"] == list(report.warnings)
+    assert "step-1 raw norm defect" in summary["warnings"][0]
 
 
 def test_iterate_profile_from_csv(tmp_path, capsys):

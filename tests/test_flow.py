@@ -141,6 +141,59 @@ def test_competing_step_unbounded_image():
     assert np.all(np.isfinite(out.values)) and np.all(np.diff(out.values) <= 0)
 
 
+def _peak_read_reference(layer, ts):
+    """The peaks' part of (d, d') at sorted levels ts, summed pair by pair in peak order.
+
+    Each (peak, level) pair adds e^(-u_c) K(L)/m and e^(-u_c) K'(L) at
+    L = log(phi_c/t), with K = q^(d-2) L P(q) and K' = q^(d-2) (d P + q P')/2
+    at q = sqrt L, and P, P' from one Horner loop over P's coefficients.
+    """
+    ker, m, d = layer.peak_kernel, layer.m, layer.kernel.d
+    level, peak = np.nonzero(
+        (ts[:, None] > layer.peak_end[None, :]) & (ts[:, None] < layer.peak_top[None, :])
+    )
+    lam = np.maximum(layer.peak_log[peak] - np.log(ts[level]), 0.0)
+    q = np.sqrt(lam)
+    p, dp = np.full_like(q, ker.coef[0]), np.zeros_like(q)
+    for c in ker.coef[1:]:
+        dp = dp * q + p
+        p = p * q + c
+    q_d2 = q ** (d - 2)
+    weight = layer.peak_weight[peak]
+    val = np.bincount(level, weights=weight * (q_d2 * lam * p) / m, minlength=len(ts))
+    der = np.bincount(level, weights=weight * (0.5 * q_d2 * (d * p + q * dp)), minlength=len(ts))
+    return val, der, len(level)
+
+
+@pytest.mark.parametrize("case", ("h13", "h12", "h24", "step-start"))
+def test_peak_read_matches_the_per_pair_formula(case):
+    # the layer cake reads the (peak, level) pairs with e^(-u_c) taken once
+    # per peak and the kernel's Horner loop in place; against the pair
+    # formula only rounding may differ (both read equal today)
+    from kplane.flow import _InversionLayerCake
+
+    r = default_radial_grid(2048)
+    k, d = {"h13": (1, 3), "h12": (1, 2), "h24": (2, 4), "step-start": (1, 3)}[case]
+    pr = TransformParams(k, d)
+    if case == "step-start":
+        g = competing_step(normalized_indicator(pr), pr, out_radii=r)
+    else:
+        g = extremizer_profile(ExtremizerSpec(pr), radii=r)
+    layer = _InversionLayerCake(g, k + 1)
+    # two levels inside every peak's window, sorted as the layer cake sorts them
+    ts = np.sort(np.concatenate([
+        layer.peak_end + x * (layer.peak_top - layer.peak_end) for x in (0.3, 0.8)
+    ]))
+    want_val, want_der, n_pairs = _peak_read_reference(layer, ts)
+    assert n_pairs > 2 * len(layer.peak_top) > 1000
+    assert np.all(want_val > 0) and np.all(want_der > 0)
+    val, der = np.zeros(len(ts)), np.zeros(len(ts))
+    layer._peaks(ts, np.log(ts), val, der)
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(val - want_val) / want_val) <= 4 * ulp
+    assert np.max(np.abs(der - want_der) / want_der) <= 4 * ulp
+
+
 def test_competing_step_divergent_tail_raises():
     # at (1, 3) a tail exponent at or below (k + 1)(d - 1)/d = 4/3 gives the
     # inversion image infinite super-level sets
@@ -165,6 +218,9 @@ def test_unbounded_start_is_reported():
     rep = competing_iterate(f, PR13, out_radii=r)
     assert rep.converged
     assert len(rep.warnings) == 1 and "unbounded near the origin" in rep.warnings[0]
+    # the warning carries the step-1 raw norm defect that the rescale hides
+    defect = float(rep.warnings[0].rsplit("step-1 raw norm defect ", 1)[1])
+    assert defect == float(f"{rep.norms[1] / rep.norms[0] - 1.0:.3e}") != 0.0
     h = extremizer_profile(ExtremizerSpec(PR13), radii=r)
     assert competing_iterate(h, PR13, out_radii=r).warnings == ()
 
@@ -199,6 +255,8 @@ def test_indicator_converges_to_extremizer():
     )
     assert rep.converged
     assert 4 <= rep.n_iters <= 20  # observed 8 at the default resolution
+    # the 2048-node run's final distance, pinned to 11 digits
+    assert f"{rep.distances[-1]:.10e}" == "2.7961934266e-05"
     assert len(rep.distances) == rep.n_iters + 1
     assert rep.distances[-1] < 1e-3
     # monotonicity along the trace, with the 1e-6 discretization slack

@@ -355,7 +355,7 @@ _engine_profiles = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(f=_engine_profiles, data=st.data())
 def test_distribution_engine_matches_dense_reference(f, data):
-    from kplane.profiles import _distribution_engine, _profile_distribution
+    from kplane.profiles import _DistributionEngine, _profile_distribution
 
     top = float(f.values.max())
     nodes = st.sampled_from(sorted(set(f.values[f.values > 0].tolist())))
@@ -366,11 +366,11 @@ def test_distribution_engine_matches_dense_reference(f, data):
     ts = data.draw(st.permutations(ts))  # in no particular order
     mu = lebesgue_measure(3)
     want = dense_distribution(f, ts, mu)
-    got = _distribution_engine(f, mu)(np.array(ts))
+    got = _DistributionEngine(f, mu)(np.array(ts))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     # scalars, and arrays of any shape, read the same engine
     assert _profile_distribution(f, ts[0], mu) == got[0]
-    grid = _distribution_engine(f, mu)(np.array(ts).reshape(1, -1, 1))
+    grid = _DistributionEngine(f, mu)(np.array(ts).reshape(1, -1, 1))
     np.testing.assert_array_equal(grid.ravel(), got)
 
 
@@ -385,8 +385,64 @@ def test_distribution_engine_sweeps_dense_queries_in_blocks():
     n_pairs = 40 * len(ts)  # every piece crosses every threshold
     assert n_pairs > 2 * profiles._PAIR_BLOCK
     np.testing.assert_allclose(
-        profiles._distribution_engine(f, mu)(ts), dense_distribution(f, ts, mu), rtol=1e-13
+        profiles._DistributionEngine(f, mu)(ts), dense_distribution(f, ts, mu), rtol=1e-13
     )
+
+
+def _segment_query_cases():
+    from kplane.verify import _bump_mix_profile
+
+    def nodes(values, tail):
+        return RadialProfile(3, np.arange(1.0, len(values) + 1.0), np.array(values), tail)
+
+    rng = np.random.default_rng(7)
+    cases = {
+        f"ring-mix-{n}": _bump_mix_profile(rng, int(rng.integers(2, 5)), default_radial_grid(n))
+        for n in (64, 384, 1024)
+    }
+    return cases | {
+        "steps": step_profile(3, [0.05, 0.5, 1.0, 2.0, 7.0], [0.3, 2.0, 1.0, 3.0, 0.7]),
+        # 0 nodes: the dyadic descent below the least level crosses pieces
+        "zero-node": nodes([2.0, 0.0, 1.5, 0.4, 0.0, 0.9], 3.0),
+        # the tail's d overflows on the segment [1e-300, 2e-300]
+        "overflowing-tail": nodes([1.0, 2e-300, 1e-300, 1.0], 2.0),
+        "subnormal-level": nodes([1.0, 2.2e-313, 1e-10], 3.0),
+        # levels 4 ulps apart: GL nodes near the lower end round onto it
+        "ulp-segment": nodes([1.0, 1.0 + 4 * 2.0**-52, 0.5], 4.0),
+        # about 200 levels, each crossed by about a third of 199 pieces: the
+        # (segment, node) pairs take several batches of _PAIR_BLOCK
+        "many-crossings": RadialProfile(
+            3, np.geomspace(0.1, 10.0, 200), rng.uniform(0.1, 1.0, 200), 3.5
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_segment_query_cases()))
+def test_engine_segment_query_is_the_threshold_query(case):
+    # the Lorentz quadrature reads d at GL24 nodes of the level segments and
+    # of the dyadic descent below the least level; the segment query must
+    # give the threshold query's values bit for bit
+    from kplane import profiles
+    from kplane.profiles import _GL24_X, _DistributionEngine
+
+    f = _segment_query_cases()[case]
+    for d in sorted({2, f.d}):
+        f = RadialProfile(d, f.radii, f.values, f.tail_exponent)
+        engine = _DistributionEngine(f, lebesgue_measure(d))
+        levels = np.unique(f.values[f.values > 0])
+        edges = levels[0] * 0.5 ** np.arange(65)
+        edges = np.unique(edges[edges > 0])
+        for lo, hi in ((levels[:-1], levels[1:]), (edges[:-1], edges[1:])):
+            t = lo + (hi - lo) * _GL24_X[:, None]
+            got_t, got = engine.segments(lo, hi, _GL24_X)
+            assert np.array_equal(got_t, t) and np.array_equal(got, engine(t)), case
+    if case == "many-crossings":
+        lo, hi = levels[:-1], levels[1:]
+        crossed = (engine.s_lo[:, None] <= lo) & (hi <= engine.s_hi[:, None])
+        assert len(_GL24_X) * crossed.sum() > 8 * profiles._PAIR_BLOCK
+    if case == "ulp-segment":
+        lo, hi = levels[-2:-1], levels[-1:]
+        assert np.any(lo + (hi - lo) * _GL24_X == lo)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +664,7 @@ def test_lorentz_weak_norm_is_the_dense_sup_beside_a_ring():
 @settings(max_examples=100, deadline=None)
 @given(f=_engine_profiles, data=st.data())
 def test_engine_slope_is_the_derivative_inside_segments(f, data):
-    from kplane.profiles import _distribution_engine
+    from kplane.profiles import _DistributionEngine
 
     levels = np.unique(f.values[f.values > 0])
     # segments too narrow for a difference quotient are left out, and so are
@@ -622,7 +678,7 @@ def test_engine_slope_is_the_derivative_inside_segments(f, data):
     a, b = levels[i], levels[i + 1]
     t = a + (b - a) * data.draw(st.floats(0.2, 0.8))
     lo, hi = t - 1e-5 * (b - a), t + 1e-5 * (b - a)
-    dist = _distribution_engine(f, lebesgue_measure(3))
+    dist = _DistributionEngine(f, lebesgue_measure(3))
     d, t_slope = dist(np.array([t]), slope=True)
     slope = t_slope / t
     central = (dist(np.array([hi])) - dist(np.array([lo]))) / (hi - lo)
