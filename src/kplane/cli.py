@@ -277,7 +277,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "samples": args.samples,
                 "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
+                    {"name": r.name, "passed": r.passed, "detail": r.detail, "data": r.data}
                     for r in results
                 ],
                 "all_pass": all_pass,

@@ -31,14 +31,9 @@ __all__ = [
 ]
 
 
-def _homogeneous(x: np.ndarray) -> np.ndarray:
-    """Append a unit coordinate: x in R^d becomes [x, 1] in R^{d+1}."""
-    x = np.asarray(x, dtype=float)
-    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
 def _quad_form(P: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", z, P, z)
+    """z^T P z over the last axis, for any leading batch shape."""
+    return np.einsum("...i,...i->...", z @ P, z)
 
 
 def _line_minimum(H: np.ndarray, delta: np.ndarray, e: np.ndarray):
@@ -49,8 +44,10 @@ def _line_minimum(H: np.ndarray, delta: np.ndarray, e: np.ndarray):
     cancels to noise of either sign, while q at a point is accurate to
     rounding and never negative.
     """
-    a = _quad_form(H, e)
-    lam = -np.einsum("...i,ij,...j->...", delta, H, e) / a
+    He = e @ H  # H is symmetric, so this is (H e)^T
+    a = np.einsum("...i,...i->...", He, e)
+    lam = -np.einsum("...i,...i->...", delta, He) / a
+    del He  # frees its buffer for the foot point's
     foot = lam[..., None] * e
     foot += delta
     return lam, a, _quad_form(H, foot)
@@ -115,8 +112,13 @@ class CauchyPowerField:
         return cls(params.k, np.eye(params.d + 1))
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        q = _quad_form(self.matrix, _homogeneous(x))
-        return self.amplitude * q ** (-(self.k + 1) / 2.0)
+        # [x;1]^T P [x;1] = (x - center)^T A (x - center) + c_min
+        delta = np.asarray(x, dtype=float) - self.center
+        q = _quad_form(self._A, delta)  # type: ignore[attr-defined]
+        q += self._c_min  # type: ignore[attr-defined]
+        q **= -(self.k + 1) / 2.0
+        q *= self.amplitude
+        return q
 
     def s_transform(self) -> "CauchyPowerField":
         """The inversion symmetry |x_d|^-(k+1) f(x'/x_d, 1/x_d), exactly."""
@@ -169,8 +171,12 @@ class CauchyPowerField:
             (self._c_min / nu) * np.linalg.inv(self._A)  # type: ignore[attr-defined]
         )
         z = rng.standard_normal((n, d))
-        chi2 = rng.chisquare(nu, n)
-        return self.center + (z @ scale.T) * np.sqrt(nu / chi2)[:, None]
+        mix = rng.chisquare(nu, n)
+        x = z @ scale.T
+        np.divide(nu, mix, out=mix)
+        x *= np.sqrt(mix, out=mix)[:, None]
+        x += self.center
+        return x
 
     # Line and plane geometry ----------------------------------------------
 
@@ -179,7 +185,8 @@ class CauchyPowerField:
         A = self._A  # type: ignore[attr-defined]
         delta = np.asarray(p0, dtype=float) - self.center
         lam, a, c_star = _line_minimum(A, delta, np.asarray(e, dtype=float))
-        return lam, a, self._c_min + c_star  # type: ignore[attr-defined]
+        c_star += self._c_min  # type: ignore[attr-defined]
+        return lam, a, c_star
 
     def line_focus(self, p0, e):
         """(lambda*, width) of the restriction to the line, for tan maps."""
@@ -190,7 +197,11 @@ class CauchyPowerField:
         """int f(p0 + lambda e) dlambda over the whole line, exactly."""
         _, a, c_star = self._quadratic_on_line(p0, e)
         k = self.k
-        return self.amplitude * sf.beta(0.5, k / 2.0) * a**-0.5 * c_star ** (-k / 2.0)
+        a **= -0.5
+        a *= self.amplitude * sf.beta(0.5, k / 2.0)
+        c_star **= -k / 2.0
+        a *= c_star
+        return a
 
     def plane_focus(self, p0, e1, e2):
         """(lambda*, G, c*) of the quadratic along x = p0 + lambda1 e1 + lambda2 e2.
@@ -261,7 +272,9 @@ class GaussianBump:
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
         """Draws from f^p / ||f||_p^p, a Gaussian with precision p H."""
         scale = np.linalg.cholesky(np.linalg.inv(p * self.shape))
-        return self.center + rng.standard_normal((n, self.d)) @ scale.T
+        x = rng.standard_normal((n, self.d)) @ scale.T
+        x += self.center
+        return x
 
     def _quadratic_on_line(self, p0, e):
         delta = np.asarray(p0, dtype=float) - self.center
@@ -308,8 +321,12 @@ class BallIndicator:
         """Uniform draws from the ball (f^p is the normalized indicator)."""
         z = rng.standard_normal((n, self.d))
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
-        r = self.radius * rng.random(n) ** (1.0 / self.d)
-        return self.center + z * r[:, None]
+        r = rng.random(n)
+        r **= 1.0 / self.d
+        r *= self.radius
+        z *= r[:, None]
+        z += self.center
+        return z
 
     def _distance_on_line(self, p0, e):
         delta = np.asarray(p0, dtype=float) - self.center

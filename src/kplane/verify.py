@@ -14,7 +14,7 @@ measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named invariant check: pass/fail plus a human-readable detail."""
+    """One named invariant check: pass/fail plus a human-readable detail.
+
+    data holds the check's measured values as JSON-ready fields; the Drury
+    checks put their Monte Carlo estimates there under "estimates".
+    """
 
     name: str
     passed: bool
     detail: str
+    data: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # a numpy comparison gives numpy.bool_, which json cannot write
@@ -355,6 +360,7 @@ def drury_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
             "drury-hand-derived",
             z <= 3.0,
             f"value {est.value:.5f} vs 2 pi^3 = {target:.5f}, z = {z:.2f}",
+            {"estimates": {"h": est.as_dict()}},
         )
     )
 
@@ -370,6 +376,7 @@ def drury_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
             "drury-s-invariance",
             z <= 3.0,
             f"{e1.value:.5f} vs {e2.value:.5f}, z = {z:.2f}",
+            {"estimates": {"translate": e1.as_dict(), "translate-S": e2.as_dict()}},
         )
     )
 
@@ -389,6 +396,7 @@ def drury_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
             "drury-affine-covariance",
             z <= 3.0,
             f"|det M|^2-scaled {scaled:.5f} vs {est.value:.5f}, z = {z:.2f}",
+            {"estimates": {"affine": e3.as_dict(), "h": est.as_dict()}},
         )
     )
     return results

@@ -224,6 +224,23 @@ def test_verify_all_json(capsys, monkeypatch, verify_run):
     assert payload["all_pass"] is True
     assert len(payload["checks"]) == 24
     assert all(c["passed"] is True for c in payload["checks"])
+    assert all(isinstance(c["data"], dict) for c in payload["checks"])
+
+
+def test_verify_drury_json_carries_estimates(capsys):
+    # each Drury check writes its estimates as fields, not only as text
+    code = main(["verify", "--suite", "drury", "--samples", "20000", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    names = [c["name"] for c in payload["checks"]]
+    assert names == ["drury-hand-derived", "drury-s-invariance", "drury-affine-covariance"]
+    for check in payload["checks"]:
+        estimates = check["data"]["estimates"]
+        assert estimates, check["name"]
+        for est in estimates.values():
+            assert math.isfinite(est["std_error"]) and est["std_error"] > 0
+            assert isinstance(est["rejected"], int) and est["rejected"] >= 0
+            assert est["n_samples"] + est["rejected"] == 20000
 
 
 def test_suite_choices_match_verify():

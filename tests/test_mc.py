@@ -1,6 +1,7 @@
 """Monte Carlo oracles: inversion identities, span quadrature, Drury norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kplane import (
     sample_point_tuple,
     simplex_volume,
     span_integral,
+    sphere_area,
 )
 from kplane.mc import MCEstimate
 
@@ -266,6 +268,85 @@ def test_drury_deterministic_given_seed():
     assert a.n_samples == b.n_samples and a.n_rejected == b.n_rejected
     c = drury_norm_mc(f, TransformParams(1, 2), n_samples=20_000, seed=43)
     assert c.value != a.value
+
+
+def _translate_s_image():
+    h = CauchyPowerField.extremizer(TransformParams(1, 2))
+    return h.compose_affine(np.eye(2), np.array([0.3, -0.45])).s_transform()
+
+
+@pytest.mark.parametrize(
+    "case, d, seed, value, std_error",
+    [
+        ("h", 2, 42, 61.8841533943798, 0.2373127944272643),
+        ("h", 3, 5204, 299.77298718851955, 3.254135061481158),
+        ("translate-S", 2, 7, 61.72928015225477, 0.22288046176824838),
+    ],
+)
+def test_drury_golden_estimates(case, d, seed, value, std_error):
+    # the draws are fixed per (seed, block) and the kernels only reorder
+    # rounding, so the estimates stay where they were pinned
+    pr = TransformParams(1, d)
+    f = CauchyPowerField.extremizer(pr) if case == "h" else _translate_s_image()
+    est = drury_norm_mc(f, pr, n_samples=100_000, seed=seed)
+    assert est.n_samples == 100_000 and est.n_rejected == 0
+    assert abs(est.value / value - 1.0) <= 1e-13
+    assert abs(est.std_error / std_error - 1.0) <= 1e-13
+
+
+class _PlantedDraws:
+    """The (1,2) extremizer whose draws hit the rejected set on purpose.
+
+    Every 1000th draw has last coordinate 1e-9, and every 1000th from the
+    500th sits at one fixed point, so that those tuples coincide.
+    """
+
+    def __init__(self):
+        self.h = CauchyPowerField.extremizer(TransformParams(1, 2))
+
+    def __getattr__(self, name):
+        return getattr(self.h, name)
+
+    def sample_p(self, rng, n, p):
+        x = self.h.sample_p(rng, n, p)
+        x[::1000, -1] = 1e-9
+        x[500::1000] = (0.3, 0.7)
+        return x
+
+
+def test_drury_drops_and_counts_rejected_tuples():
+    pr = TransformParams(1, 2)
+    f = _PlantedDraws()
+    est = drury_norm_mc(f, pr, n_samples=5000, seed=9)
+    assert est.n_rejected == 10 and est.n_samples == 4990
+    rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
+    x0, x1 = f.sample_p(rng, 5000, pr.pf), f.sample_p(rng, 5000, pr.pf)
+    keep = np.ones(5000, dtype=bool)
+    keep[::500] = False
+    x0, x1 = x0[keep], x1[keep]
+    w = (
+        f.lp_power_norm(pr.pf) ** 2
+        * (f.value(x0) * f.value(x1)) ** (1.0 - pr.pf)
+        * f.line_integral(x0, x1 - x0)
+    )
+    assert abs(est.value / (2.0 / sphere_area(2) * w.mean()) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("d, limit_mib", [(3, 10.8), (2, 8.3)])
+def test_drury_memory_peak(d, limit_mib):
+    # a 65536-sample block holds two (m, d) point arrays and the kernels'
+    # temporaries; the limits are the peaks measured before the kernels
+    # were rewritten (10.75 and 8.25 MiB)
+    pr = TransformParams(1, d)
+    h = CauchyPowerField.extremizer(pr)
+    drury_norm_mc(h, pr, n_samples=100_000, seed=1)
+    tracemalloc.start()
+    try:
+        drury_norm_mc(h, pr, n_samples=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_drury_extremizer_2d():

@@ -413,3 +413,93 @@ def test_ball_sampler_uniform():
     frac = float(np.mean((radii / 1.5) ** 3))
     assert abs(frac - 0.5) < 0.005
     assert np.max(np.abs(draws.mean(axis=0) - center)) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# All three fields: draws and batched kernels
+# ---------------------------------------------------------------------------
+
+
+def _cauchy_draws(f, rng, n, p):
+    # normal over root-chi-square, written out from the matrix
+    d = f.d
+    A, u = f.matrix[:d, :d], f.matrix[:d, d]
+    center = -np.linalg.solve(A, u)
+    c_min = float(f.matrix[d, d] + u @ center)
+    nu = (f.k + 1) * p - d
+    scale = np.linalg.cholesky((c_min / nu) * np.linalg.inv(A))
+    z = rng.standard_normal((n, d))
+    chi2 = rng.chisquare(nu, n)
+    return center + (z @ scale.T) * np.sqrt(nu / chi2)[:, None]
+
+
+def _gaussian_draws(f, rng, n, p):
+    scale = np.linalg.cholesky(np.linalg.inv(p * f.shape))
+    return f.center + rng.standard_normal((n, f.d)) @ scale.T
+
+
+def _ball_draws(f, rng, n, p):
+    z = rng.standard_normal((n, f.d))
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    r = f.radius * rng.random(n) ** (1.0 / f.d)
+    return f.center + z * r[:, None]
+
+
+def _cauchy_p():
+    return CauchyPowerField(3, random_spd(RNG(10), 3, 0.5), amplitude=0.7)
+
+
+@pytest.mark.parametrize(
+    "field, p, reference",
+    [
+        (CauchyPowerField.extremizer(TransformParams(1, 3)), 2.0, _cauchy_draws),
+        (_cauchy_p(), 2.0, _cauchy_draws),
+        (_cauchy_p().s_transform(), 2.0, _cauchy_draws),
+        (GaussianBump(np.array([2.0, -1.0, 0.5]), random_spd(RNG(16), 3)), 1.3, _gaussian_draws),
+        (BallIndicator(np.array([1.0, -2.0, 0.5]), 1.5), 2.0, _ball_draws),
+    ],
+    ids=["cauchy-h", "cauchy-P", "cauchy-P-S", "gaussian", "ball"],
+)
+def test_sample_p_draws_are_bit_identical(field, p, reference):
+    # the Monte Carlo streams fix every draw: the samplers make the same
+    # generator calls in the same order and the same arithmetic on them
+    got = field.sample_p(RNG(17), 4099, p)
+    assert np.array_equal(got, reference(field, RNG(17), 4099, p))
+
+
+def _per_point(fn, *args):
+    # fn on each point of the (4, 6) leading axes, stacked back
+    lead = args[0].shape[:2]
+    outs = [fn(*(a[i, j] for a in args)) for i in range(lead[0]) for j in range(lead[1])]
+    if isinstance(outs[0], tuple):
+        return tuple(np.reshape(np.stack(part), lead + np.shape(part[0])) for part in zip(*outs))
+    return np.reshape(np.stack(outs), lead)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        CauchyPowerField(1, random_spd(RNG(18), 4, 0.5)),
+        GaussianBump(np.array([0.3, -0.2, 0.8]), random_spd(RNG(19), 3, 0.4), 1.7),
+        BallIndicator(np.array([0.2, 0.1, -0.3]), 1.6),
+    ],
+    ids=["cauchy", "gaussian", "ball"],
+)
+def test_kernels_on_two_leading_axes_match_per_point(field):
+    # the shapes of _line_rule's nodes and of node batches: every kernel
+    # reads a (4, 6, d) batch as it reads each point, to 4 ulps
+    rng = RNG(20)
+    x, p0, e1, e2 = (rng.standard_normal((4, 6, 3)) for _ in range(4))
+    calls = [
+        (field.value, (x,)),
+        (field.line_focus, (p0, e1)),
+        (field.line_integral, (p0, e1)),
+    ]
+    if hasattr(field, "plane_focus"):
+        calls.append((field.plane_focus, (p0, e1, e2)))
+    for fn, args in calls:
+        got, ref = fn(*args), _per_point(fn, *args)
+        for g, r in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, ref))):
+            assert g.shape == r.shape, fn.__name__
+            err = np.abs(g - r)
+            assert np.all(err <= 4 * np.finfo(float).eps * np.abs(r)), (fn.__name__, err.max())
