@@ -23,14 +23,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logsumexp
 
 from .errors import TailDivergenceError
 from .params import TransformParams, sphere_area
 from .profiles import (
-    _GL2_W,
-    _GL2_X,
     _GL12_W,
     _GL12_X,
     AxiSymField,
@@ -116,9 +113,8 @@ class EllipsoidFit:
 # term (4^-28 ~ 1e-17 relative there); below the split W is read in closed form.
 _A_SPLIT = 4.0
 _SERIES_LOWEST = -28
-# Gauss rules beyond profiles' GL12 (moments of whole pieces) and GL2
+# Gauss rules beyond profiles' GL12 (moments of whole pieces)
 _GL8_X, _GL8_W = _gl01(8)  # crossed pieces and the band below the split
-_GL4_X, _GL4_W = _gl01(4)
 _GL32_X, _GL32_W = _gl01(32)  # head and tail below the split
 _GL48_X, _GL48_W = _gl01(48)  # the peak kernel at its fit nodes
 # a piece whose interior maximum rises at most this much in log phi above its
@@ -132,9 +128,6 @@ _TABLE_LEVELS = 256
 _BAND_BLOCK = 32
 _BLOCK_NODES = 12
 _BLOCK_APART = 2.0
-# band pieces at least this many piece widths (in A) above A = 1 and at most
-# this wide in log r take 4, then 2 nodes (both then err below 1e-10)
-_TIER1, _TIER2 = (4.0, 0.3), (64.0, 0.02)
 
 
 class _LayerKernel:
@@ -289,9 +282,11 @@ class _PeakKernel:
     P is interpolated at Chebyshev points of sqrt L from a 48-node rule in
     theta, y = y_mid + y_half sin(theta), which absorbs the endpoint zeros.
 
-    The fit leaves P's power-basis coefficients, highest power first, in
-    coef. With q = sqrt L a read is one square root and one in-place Horner
-    loop that carries P and P' together; then K = q^(d-2) L P and
+    The fit leaves P's power-basis coefficients in its own variable
+    x = 2 q / q_max - 1, q = sqrt L, highest power first, in coef; in x they
+    stay near the size of P, where powers of q would grow as q_max^-n. A read is one square root and
+    one in-place Horner loop in x that carries P and dP/dx together; then
+    P' = dP/dq = (2 / q_max) dP/dx, K = q^(d-2) L P and
     dK/dL = q^(d-2) (d P + q P')/2.
     """
 
@@ -313,18 +308,20 @@ class _PeakKernel:
         # keep the terms above rounding: few on the short intervals of
         # ordinary grids, where P is nearly linear
         keep = int(np.flatnonzero(np.abs(cheb) > 1e-15 * np.abs(cheb).max())[-1]) + 1
-        poly = np.polynomial.Chebyshev(cheb[:keep], domain=[0.0, self.q_max])
-        self.coef = poly.convert(kind=np.polynomial.Polynomial).coef[::-1]
+        self.coef = np.polynomial.chebyshev.cheb2poly(cheb[:keep])[::-1]
 
     def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, dK/dL) at lam in [0, lam_max]."""
         q = np.sqrt(lam)
-        p, dp = np.full_like(q, self.coef[0]), np.zeros_like(q)
+        x = q * (2.0 / self.q_max)
+        x -= 1.0
+        p, dp = np.full_like(x, self.coef[0]), np.zeros_like(x)
         for c in self.coef[1:]:
-            dp *= q
+            dp *= x
             dp += p
-            p *= q
+            p *= x
             p += c
+        dp *= 2.0 / self.q_max
         q_d2 = q if self.d == 3 else q ** (self.d - 2)
         k_val = q_d2 * lam
         k_val *= p
@@ -376,10 +373,10 @@ class _InversionLayerCake:
     is a sum of powers t^(-j/m) phi^(j/m), so whole sub-pieces enter through
     per-piece moments int phi^(j/m) e^-u du, summed once over the sub-pieces
     sorted by their lower phi value (even d: only where A >= _A_SPLIT; the
-    band between is integrated per (level, sub-piece), or per block of
-    sub-pieces far from A = 1). A piece with an interior maximum, at levels
-    above both its ends, enters through the one-variable _PeakKernel instead
-    of two crossings. The constant head and the power tail are closed form.
+    band between is integrated per (level, sub-piece) on one 8-node graded
+    rule, or per block of sub-pieces far from A = 1). A piece with an
+    interior maximum, at levels above both its ends, enters through the
+    one-variable _PeakKernel instead of two crossings. The constant head and the power tail are closed form.
     d'(t) = -(2 |S^{d-2}| / (m t)) int W'(A) A over the same set, since
     W(1) = 0 drops the boundary term.
     """
@@ -476,23 +473,16 @@ class _InversionLayerCake:
 
         if not ker.odd:
             # the band: whole sub-pieces read on fixed nodes, where A is
-            # phi^(1/m) t^(-1/m). Pairs within 4 piece widths (in A) of A = 1
-            # take 8 nodes x^2-graded from the low end, which absorb the
-            # square root of W there; pairs 4 and 64 widths away take plain
-            # 4- and 2-node rules, whose error then falls below 1e-10.
+            # phi^(1/m) t^(-1/m): 8 nodes x^2-graded from the low end, which
+            # absorb the square root of W at A = 1
             u_low = np.where(self.inc, ua, ub)[:, None]
             g_low = np.where(self.inc, ga, gb)[:, None]
             span = np.where(self.inc, self.du, -self.du)[:, None]
-            self.band_rules = []
-            for x, w, graded in ((_GL8_X, _GL8_W, True), (_GL4_X, _GL4_W, False), (_GL2_X, _GL2_W, False)):
-                step = span * (x**2 if graded else x)
-                uu = u_low + step
-                with np.errstate(divide="ignore"):
-                    root = np.exp(uu + np.log(g_low + beta[:, None] * step) / m)
-                jac = np.abs(span) * (2.0 * x * w if graded else w)
-                self.band_rules.append((root, jac * np.exp(-uu)))
-            self.lo_root = self.lo ** (1.0 / m)
-            self.hi_root = self.hi ** (1.0 / m)
+            step = span * _GL8_X**2
+            uu = u_low + step
+            with np.errstate(divide="ignore"):
+                self.band_root = np.exp(uu + np.log(g_low + beta[:, None] * step) / m)
+            self.band_weight = np.abs(span) * (2.0 * _GL8_X * _GL8_W) * np.exp(-uu)
             # blocks of _BAND_BLOCK pieces adjacent in lo order: the weights of
             # _BLOCK_NODES Chebyshev points in xi = phi^(1/m) integrate the
             # interpolant of any function of xi exactly against the pieces'
@@ -501,19 +491,20 @@ class _InversionLayerCake:
             # interpolating W(xi t^(-1/m)) errs below 1e-12
             n_blocks = len(order) // _BAND_BLOCK
             block = order[: n_blocks * _BAND_BLOCK].reshape(n_blocks, _BAND_BLOCK)
-            xi_lo = self.lo_root[block[:, 0]]
-            width = np.maximum(self.hi_root[block].max(axis=1) - xi_lo, 1e-15 * xi_lo)
+            xi_lo = self.lo[block[:, 0]] ** (1.0 / m)
+            width = np.maximum(self.hi[block].max(axis=1) ** (1.0 / m) - xi_lo, 1e-15 * xi_lo)
             cheb = np.cos(math.pi * (np.arange(_BLOCK_NODES) + 0.5) / _BLOCK_NODES)
             bary = (-1.0) ** np.arange(_BLOCK_NODES) * np.sqrt(1.0 - cheb**2)
-            root8, weight8 = self.band_rules[0]
-            atoms = root8[block].reshape(n_blocks, 8 * _BAND_BLOCK)
+            atoms = self.band_root[block].reshape(n_blocks, 8 * _BAND_BLOCK)
             atoms = 2.0 * (atoms - xi_lo[:, None]) / width[:, None] - 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 basis = bary / (atoms[:, :, None] - cheb)
                 basis /= basis.sum(axis=2, keepdims=True)
             self.block_nodes = xi_lo[:, None] + 0.5 * width[:, None] * (cheb + 1.0)
             self.block_weights = np.einsum(
-                "ba,bak->bk", weight8[block].reshape(n_blocks, 8 * _BAND_BLOCK), np.nan_to_num(basis)
+                "ba,bak->bk",
+                self.band_weight[block].reshape(n_blocks, 8 * _BAND_BLOCK),
+                np.nan_to_num(basis),
             )
             key = xi_lo - _BLOCK_APART * width
             self.block_floor = np.minimum.accumulate(key[::-1])[::-1]
@@ -614,8 +605,8 @@ class _InversionLayerCake:
 
         Sorted by lo they are positions start .. stop - 1 of each level. The
         blocks that lie far enough above A = 1 from some block on are read
-        through their Chebyshev rules; the rest piece by piece, on 8 graded
-        nodes within 4 piece widths (in A) of A = 1, else on 4 or 2 nodes.
+        through their Chebyshev rules; the rest piece by piece, on their 8
+        graded nodes.
         """
         ker, m, n = self.kernel, self.m, len(ts)
         scale = np.exp(-lt / m)
@@ -638,23 +629,10 @@ class _InversionLayerCake:
         for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
             for level, pos in _pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
                 piece = self.order[pos]
-                a_lo = self.lo_root[piece] * scale[level]
-                a_hi = self.hi_root[piece] * scale[level]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    apart = (a_lo - 1.0) / (a_hi - a_lo)
-                du = self.du[piece]
-                tier = np.where(
-                    (apart >= _TIER2[0]) & (du <= _TIER2[1]),
-                    2,
-                    np.where((apart >= _TIER1[0]) & (du <= _TIER1[1]), 1, 0),
-                )
-                for k, (root, weight) in enumerate(self.band_rules):
-                    sel = tier == k
-                    p_sel, l_sel = piece[sel], level[sel]
-                    w_val, w_der = ker.from_a(root[p_sel] * scale[l_sel, None])
-                    wt = weight[p_sel]
-                    val += np.bincount(l_sel, weights=np.sum(wt * w_val, axis=1), minlength=n)
-                    der += np.bincount(l_sel, weights=np.sum(wt * w_der, axis=1), minlength=n)
+                w_val, w_der = ker.from_a(self.band_root[piece] * scale[level, None])
+                wt = self.band_weight[piece]
+                val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
+                der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
 
     def _peaks(self, ts, lt, val, der) -> None:
         """Add the whole peaks, at the sorted levels above both ends of their piece.
@@ -940,8 +918,10 @@ def vs_squared_dilation_fit(f: RadialProfile, params: TransformParams) -> Dilati
     then minimizes the relative L^p misfit of mu^{d/p} f(mu r) against F^2 f
     over log mu. Small residuals certify the two-step map acts on the profile
     like a pure dilation, the mechanism that sends mass to the extremizer's
-    scale along the flow.
+    scale along the flow. Its first call imports scipy.optimize.
     """
+    from scipy.optimize import minimize_scalar
+
     mu = lebesgue_measure(params.d)
     p = params.pf
     g2 = competing_step(competing_step(f, params), params)
@@ -993,6 +973,7 @@ def _fit_c_s0(
     groups: list[tuple[np.ndarray, np.ndarray]], c0: float, s00: float
 ) -> tuple[float, float, float]:
     """Least-squares (c, s0) shared across level groups; returns (c, s0, rms)."""
+    from scipy.optimize import minimize
 
     def cost(x: np.ndarray) -> float:
         c = math.exp(x[0])
@@ -1023,7 +1004,8 @@ def ellipsoid_levelset_check(g: AxiSymField) -> EllipsoidFit:
     Levels are the fractions 1/10 .. 9/10 of the field maximum; levels not
     enclosed by the grid box are skipped. The inversion image of a dilated
     extremizer has exact ellipsoidal level sets lam rho^2 + s^2 / lam = const,
-    so c estimates the dilation factor and s0 should vanish.
+    so c estimates the dilation factor and s0 should vanish. Its first call
+    imports scipy.optimize.
     """
     vmax = float(g.values.max())
     if vmax <= 0:

@@ -199,6 +199,8 @@ def test_verify_symmetry_csv(capsys, monkeypatch, verify_run):
 
 
 def test_verify_symmetry_json(capsys):
+    # not a repeat of the session's seed-0 run: the only run of a verify
+    # suite at a second seed, passed through the CLI's --seed
     code = main(["verify", "--suite", "symmetry", "--format", "json", "--seed", "3"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

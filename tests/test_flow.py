@@ -145,8 +145,9 @@ def _peak_read_reference(layer, ts):
     """The peaks' part of (d, d') at sorted levels ts, summed pair by pair in peak order.
 
     Each (peak, level) pair adds e^(-u_c) K(L)/m and e^(-u_c) K'(L) at
-    L = log(phi_c/t), with K = q^(d-2) L P(q) and K' = q^(d-2) (d P + q P')/2
-    at q = sqrt L, and P, P' from one Horner loop over P's coefficients.
+    L = log(phi_c/t), with K = q^(d-2) L P and K' = q^(d-2) (d P + q P')/2
+    at q = sqrt L. P and dP/dx come from one Horner loop over P's
+    coefficients in x = 2 q / q_max - 1, and P' = dP/dq = (2 / q_max) dP/dx.
     """
     ker, m, d = layer.peak_kernel, layer.m, layer.kernel.d
     level, peak = np.nonzero(
@@ -154,10 +155,12 @@ def _peak_read_reference(layer, ts):
     )
     lam = np.maximum(layer.peak_log[peak] - np.log(ts[level]), 0.0)
     q = np.sqrt(lam)
-    p, dp = np.full_like(q, ker.coef[0]), np.zeros_like(q)
+    x = q * (2.0 / ker.q_max) - 1.0
+    p, dp = np.full_like(x, ker.coef[0]), np.zeros_like(x)
     for c in ker.coef[1:]:
-        dp = dp * q + p
-        p = p * q + c
+        dp = dp * x + p
+        p = p * x + c
+    dp = dp * (2.0 / ker.q_max)
     q_d2 = q ** (d - 2)
     weight = layer.peak_weight[peak]
     val = np.bincount(level, weights=weight * (q_d2 * lam * p) / m, minlength=len(ts))
@@ -192,6 +195,99 @@ def test_peak_read_matches_the_per_pair_formula(case):
     ulp = np.finfo(float).eps
     assert np.max(np.abs(val - want_val) / want_val) <= 4 * ulp
     assert np.max(np.abs(der - want_der) / want_der) <= 4 * ulp
+
+
+@pytest.mark.parametrize("kd", ((1, 3), (1, 2), (2, 4)), ids=("13", "12", "24"))
+def test_peak_kernel_reads_its_polynomial_to_rounding(kd):
+    # K and dK/dL against the exact rational value of the stored polynomial
+    # in x = 2 q / q_max - 1 at the kernel's own q = sqrt L, 300 seeded L;
+    # reads at most 1.3 ulps (20 coefficients at (2, 4), 5 at (1, 3), (1, 2))
+    from fractions import Fraction
+
+    from kplane.flow import _InversionLayerCake
+
+    k, d = kd
+    h = extremizer_profile(ExtremizerSpec(TransformParams(k, d)), radii=default_radial_grid(2048))
+    ker = _InversionLayerCake(h, k + 1).peak_kernel
+    lam = np.random.default_rng(14).uniform(0.0, ker.q_max**2, 300)
+    k_val, k_der = ker(lam)
+    q_max = Fraction(ker.q_max)
+    ulp = Fraction(np.finfo(float).eps)
+    for lam_i, val, der in zip(lam, k_val, k_der):
+        q = Fraction(float(np.sqrt(lam_i)))
+        x = 2 * q / q_max - 1
+        p, dp = Fraction(0), Fraction(0)
+        for c in ker.coef:
+            dp = dp * x + p
+            p = p * x + Fraction(c)
+        dp *= 2 / q_max
+        want_val = q ** (d - 2) * Fraction(lam_i) * p
+        want_der = q ** (d - 2) * (d * p + q * dp) / 2
+        assert abs(Fraction(val) - want_val) <= 8 * ulp * abs(want_val)
+        assert abs(Fraction(der) - want_der) <= 8 * ulp * abs(want_der)
+
+
+def _layer_cake_quad(g, m, t):
+    """d(t) of S(embed g) by scipy.integrate.quad on each monotone sub-piece.
+
+    The integrand is W((phi/t)^(1/m)) e^-u in u = log sigma, W read by
+    _LayerKernel.value; each part above t is integrated in s, u = u_1 + (u_2 -
+    u_1) s^2 from its lowest phi u_1, which absorbs W's square root at A = 1.
+    The head lies below t and the constant-phi tail adds W(A_N)/r_N.
+    """
+    from scipy import integrate, optimize
+
+    from kplane.flow import _LayerKernel
+    from kplane.params import sphere_area
+
+    ker = _LayerKernel(g.d)
+    u, v, lt = g.log_radii, g.values, np.log(t)
+    assert v[0] * g.radii[0] ** m < t and g.tail_exponent == m
+
+    def log_a(x, ua, ga, beta):
+        return (m * x + np.log(ga + beta * (x - ua)) - lt) / m
+
+    total = 0.0
+    for ua, ub, ga, gb in zip(u[:-1], u[1:], v[:-1], v[1:]):
+        beta = (gb - ga) / (ub - ua)
+        ends = [ua, ub]
+        if beta < 0 and ua < ua - 1.0 / m - ga / beta < ub:
+            ends.insert(1, ua - 1.0 / m - ga / beta)
+        for a, b in zip(ends[:-1], ends[1:]):
+            la_a, la_b = log_a(a, ua, ga, beta), log_a(b, ua, ga, beta)
+            if max(la_a, la_b) <= 0:
+                continue
+            u1, u2 = (a, b) if la_a < la_b else (b, a)
+            if min(la_a, la_b) < 0:
+                u1 = optimize.brentq(log_a, a, b, args=(ua, ga, beta), xtol=1e-15, rtol=1e-15)
+
+            def integrand(s, u1=u1, u2=u2, ua=ua, ga=ga, beta=beta):
+                x = u1 + (u2 - u1) * s * s
+                la = max(log_a(x, ua, ga, beta), 0.0)
+                return 2.0 * s * (u2 - u1) * float(ker.value(np.array(la))) * np.exp(-x)
+
+            total += abs(integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+    la_n = log_a(u[-1], u[-1], v[-1], 0.0)
+    if la_n > 0:
+        total += float(ker.value(np.array(la_n))) / g.radii[-1]
+    return 2.0 * sphere_area(g.d - 1) * total
+
+
+@pytest.mark.parametrize("kd, bound", (((1, 2), 1e-11), ((2, 4), 1e-14)), ids=("12", "24"))
+def test_even_d_band_matches_per_piece_quad(kd, bound):
+    # d(t) of h's inversion image against per-piece quad at nine levels from
+    # 1e-3 to 1e-1 of its top, where whole pieces of the band 1 < A < 4 carry
+    # d, on 512 nodes. (2, 4) reads 1.1e-15. (1, 2) reads 3.5e-12: there
+    # W ~ sqrt(A - 1), which the 8-node graded rule does not resolve on a
+    # whole piece whose low end lies just above A = 1
+    from kplane.flow import _InversionLayerCake
+
+    k, d = kd
+    g = extremizer_profile(ExtremizerSpec(TransformParams(k, d)), radii=default_radial_grid(512))
+    layer = _InversionLayerCake(g, k + 1)
+    ts = layer.sup * np.geomspace(1e-3, 1e-1, 9)
+    want = np.array([_layer_cake_quad(g, k + 1, t) for t in ts])
+    assert np.max(np.abs(layer(ts)[0] / want - 1.0)) <= bound
 
 
 def test_competing_step_divergent_tail_raises():

@@ -1,8 +1,6 @@
 """The radial reduction, the inversion symmetry, and the rearrangement."""
 
 import math
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -199,13 +197,6 @@ def test_t_transform_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-
-
-def test_operators_import_leaves_scipy_linalg_unloaded():
-    # T is applied with numpy alone
-    code = "import sys, kplane.operators; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_t_transform_divergence_and_zero():

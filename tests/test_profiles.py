@@ -751,11 +751,26 @@ def test_lorentz_weak_norm_on_subnormal_value_changes():
     assert abs(quiet / (1e-300 * scaled) - 1.0) <= 1e-12
 
 
-def test_profiles_import_leaves_scipy_optimize_unloaded():
-    # the profile functionals run on numpy alone
-    code = "import sys, kplane.profiles; print('scipy.optimize' in sys.modules)"
+@pytest.mark.parametrize(
+    "modules",
+    (
+        "kplane.profiles",
+        "kplane.operators",
+        "kplane.flow",
+        # what the benchmark's workloads import
+        "kplane.flow, kplane.mc, kplane.operators, kplane.params, kplane.pointfields, kplane.profiles",
+    ),
+    ids=("profiles", "operators", "flow", "workloads"),
+)
+def test_import_loads_no_scipy_optimize_linalg_or_sparse(modules):
+    # the functionals, T and the flow step run on numpy and scipy.special;
+    # the two flow fits import scipy.optimize when first called
+    code = (
+        f"import sys, {modules}; "
+        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @settings(max_examples=25, deadline=None)
