@@ -93,7 +93,9 @@ def extremizer_profile(spec: ExtremizerSpec, radii: np.ndarray | None = None) ->
 # at s = 0). The row at r reads only the nodes at or beyond r, so on f's own
 # grid T is upper triangular. On a geometric grid s = r_i sigma maps the row
 # at r_i onto the row at r_0: T[i, i+d] = (r_i/r_0)^k T[0, d], and T f is
-# that scale times one correlation of f with the row at r_0. The last node
+# that scale times the non-negative lags of the correlation of f with the row
+# at r_0. Those lags are computed in blocks of _LAG_BLOCK outputs, so the
+# negative lags, half of a full correlation, are never formed. The last node
 # takes only its right-node weights, since no piece lies beyond it. The row,
 # those weights and the scale, O(n) numbers, are cached per (k, grid); the
 # key holds the grid's bytes themselves, so two grids that differ anywhere
@@ -107,6 +109,9 @@ _T_CACHE_MAX = 4
 # about eps |log r| relative; a grid whose ratios r_{j+1}/r_j agree to a few
 # times that is geometric for the one-row reading.
 _GEOMETRIC_ULPS = 4.0
+# outputs per "valid" correlation of _nonnegative_lags: a block of B outputs
+# costs its own triangle of about B^2/2 multiply-adds beyond the lags it keeps
+_LAG_BLOCK = 256
 
 
 def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
@@ -161,6 +166,24 @@ def _kernel_row(k: int, f: RadialProfile):
     return entry
 
 
+def _nonnegative_lags(a: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """out[i] = sum_d row[d] a[i + d] over i + d < len(a), for len(row) >= len(a).
+
+    These are the lags >= 0 of np.correlate(a, row, "full"). Outputs [s, e)
+    read a[s:] and row[:len(a) - s] only: one "valid" correlation of a[s:],
+    zero-padded by e - s - 1, with that part of the row. Over all blocks that
+    is about n (n + B) / 2 multiply-adds for n = len(a), against n^2 for the
+    full correlation.
+    """
+    n = len(a)
+    out = np.empty(n)
+    padded = np.concatenate([a, np.zeros(_LAG_BLOCK - 1)])
+    for s in range(0, n, _LAG_BLOCK):
+        b = min(_LAG_BLOCK, n - s)
+        out[s : s + b] = np.correlate(padded[s : n + b - 1], row[: n - s], "valid")
+    return out
+
+
 def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -> np.ndarray:
     """Contribution of the power tail beyond radii[-1] to T at each output radius.
 
@@ -183,8 +206,9 @@ def t_transform(
     """Radial reduction of the k-plane transform of a radial profile.
 
     Returns the profile of T f on f's own grid, or on out_radii when given.
-    On a geometric grid T f is one correlation of f with a cached kernel row;
-    any other grid, and out_radii, take one row of weights per output radius.
+    On a geometric grid T f is the non-negative lags of the correlation of f
+    with a cached kernel row, computed in blocks of outputs; any other grid,
+    and out_radii, take one row of weights per output radius.
     Memory is O(n) either way. The output decays like r^-(tail_exponent - k),
     which must be a positive exponent or the line integral itself diverges.
     """
@@ -199,7 +223,7 @@ def t_transform(
         row, last, scale = kernel
         out_r = f.radii
         # the non-negative lags: sum_d row[d] f[i+d] over the nodes before the last
-        inner = np.correlate(f.values[:-1], row, "full")[len(row) - 1 :]
+        inner = _nonnegative_lags(f.values[:-1], row)
         core = np.append(scale * (inner + f.values[-1] * last), 0.0)
     else:
         out_r = f.radii if out_radii is None else np.asarray(out_radii, dtype=float)

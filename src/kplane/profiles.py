@@ -236,16 +236,24 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
     """Sum over pieces of int |v|^p e^(m u) du, GL12 per piece.
 
     Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
-    Each node costs one exp, of p log|v| + m u; a node with v = 0 gives 0.
+    The exponent p log|v| + m u of every (node, piece) pair is built in
+    place in one (12, pieces) array, beside one more for m u, then read by
+    one exp; a node with v = 0 gives 0. The weights and the widths reduce it
+    as _GL12_W @ ... @ du.
     """
     du = ub - ua
-    acc = np.zeros_like(du)
+    e = np.multiply.outer(_GL12_X, vb - va)
+    e += va
+    np.abs(e, out=e)
     with np.errstate(divide="ignore"):
-        for xg, wg in zip(_GL12_X, _GL12_W):
-            uu = ua + du * xg
-            vv = va + (vb - va) * xg
-            acc += wg * np.exp(p * np.log(np.abs(vv)) + m * uu)
-    return float(np.sum(acc * du))
+        np.log(e, out=e)
+    e *= p
+    mu = np.multiply.outer(_GL12_X, du)
+    mu += ua
+    mu *= m
+    e += mu
+    np.exp(e, out=e)
+    return float(_GL12_W @ e @ du)
 
 
 def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) -> float:
@@ -311,18 +319,25 @@ class _DistributionEngine:
     """t -> exact measure of {f >= t} for the PL interpretation, t > 0 an array.
 
     A linear-in-log-r piece contributes its full measure when t <= its lower
-    endpoint value, and the measure of the sub-interval past the crossing
-    log r* = u_a + (u_b - u_a) (t - v_a)/(v_b - v_a) when lo < t <= hi. Head
-    (constant) and tail (power decay, finite measure for t > 0) are closed
-    form. The pieces are sorted by their lower value once, so the full pieces
-    of a threshold are a suffix sum found by one search. Against the sorted
-    thresholds the crossings of each piece form one contiguous run, swept by
-    _pair_blocks, so a query of T thresholds on n pieces costs
+    endpoint value, and the measure of the sub-interval where v >= t when
+    lo < t <= hi. That sub-interval runs from the piece's high end a log-width
+    y du toward the crossing, y = (hi - t)/|v_b - v_a|, and its measure is
+    +-r_hi^m (e^(+-m y du) - 1)/m, + when the high end is r_a, - when it is
+    r_b: one power of an endpoint times one expm1. The log-width itself is
+    du = log1p((r_b - r_a)/r_a), so pieces whose radii lie a few ulps apart
+    keep their measure rather than cancel it in a difference of logs or of
+    exponentials. Head (constant) and tail (power decay, finite measure for
+    t > 0) are closed form. The pieces are sorted by their lower value once,
+    so the full pieces of a threshold are a suffix sum found by one search.
+    Against the sorted thresholds the crossings of each piece form one
+    contiguous run, swept by _pair_blocks, so a query of T thresholds on n
+    pieces costs
     O((n + T) log(n + T)) plus the number of (threshold, piece) crossings,
     which is O(n + T) for a monotone profile.
 
     With slope=True the query returns (d, t d') from the same sweep: a
-    crossed piece adds sign * m e* du (t/dv) and the tail -(m/gamma) r_t^m.
+    crossed piece adds -m r*^m du (t/|dv|), r* its crossing, and the tail
+    -(m/gamma) r_t^m.
     At a node level t this is the left derivative, whose pieces are those of
     the open segment just below t. t d' stays finite wherever d does, while
     d' alone overflows at a subnormal t or on a piece whose value change is
@@ -335,22 +350,25 @@ class _DistributionEngine:
     def __init__(self, f: RadialProfile, measure: WeightedMeasure) -> None:
         self.m = m = measure.weight_exponent
         self.pre = measure.prefactor
-        u = f.log_radii
+        r = f.radii
         v = f.values
-        self.ua = u[:-1]
-        self.va = v[:-1]
-        self.du = u[1:] - u[:-1]
-        ea, eb = np.exp(m * u[:-1]), np.exp(m * u[1:])
+        du = np.log1p((r[1:] - r[:-1]) / r[:-1])
+        ea = r[:-1] ** m
         lo = np.minimum(v[:-1], v[1:])
         hi = np.maximum(v[:-1], v[1:])
-        self.dv = dv = v[1:] - v[:-1]
-        # a crossed piece keeps the part past its crossing: eb - e* when it
-        # increases, e* - ea when it decreases, i.e. sign * (e* - base)
-        self.sign = np.where(dv > 0, -1.0, 1.0)
-        self.base = np.where(dv > 0, eb, ea)
+        dv = v[1:] - v[:-1]
+        # a crossed piece keeps the log-width y du next to its high end, of
+        # measure sign base expm1(sign m y du): base = r_b^m and sign = -1
+        # when it increases, r_a^m and +1 when it decreases
+        self.sign = sign = np.where(dv > 0, -1.0, 1.0)
+        self.base = np.where(dv > 0, r[1:] ** m, ea)
+        self.hi, self.adv = hi, np.abs(dv)
+        self.sign_mdu = sign * m * du
+        self.du = du
         by_lo = np.argsort(lo, kind="stable")
         self.lo_sorted = lo[by_lo]
-        self.full_above = np.concatenate([np.cumsum((eb - ea)[by_lo][::-1])[::-1], [0.0]])
+        full = ea * np.expm1(m * du)
+        self.full_above = np.concatenate([np.cumsum(full[by_lo][::-1])[::-1], [0.0]])
         # only pieces with lo < hi can be crossed
         self.sloped = sloped = np.flatnonzero(dv != 0)
         self.s_lo, self.s_hi = lo[sloped], hi[sloped]
@@ -360,18 +378,16 @@ class _DistributionEngine:
         self.gamma = f.tail_exponent
 
     def _crossed(self, piece, t):
-        """The parts past the crossing of sloped pieces piece at thresholds t."""
-        # in place, in the order of m (u_a + du clip((t - v_a)/dv, 0, 1))
-        estar = t - self.va[piece]
-        estar /= self.dv[piece]
-        np.clip(estar, 0.0, 1.0, out=estar)
-        estar *= self.du[piece]
-        estar += self.ua[piece]
-        estar *= self.m
-        np.exp(estar, out=estar)
-        part = estar - self.base[piece]
+        """(e^(sign m y du) - 1, part where v >= t) of sloped pieces piece at thresholds t."""
+        # in place, in the order of expm1(sign m du clip((hi - t)/|dv|, 0, 1))
+        grow = self.hi[piece] - t
+        grow /= self.adv[piece]
+        np.clip(grow, 0.0, 1.0, out=grow)
+        grow *= self.sign_mdu[piece]
+        np.expm1(grow, out=grow)
+        part = grow * self.base[piece]
         part *= self.sign[piece]
-        return estar, part
+        return grow, part
 
     def _closed_form(self, t, total, at_head, in_tail, t_rate=None):
         """Add head and tail to the piece sums at thresholds t, then scale them.
@@ -408,11 +424,13 @@ class _DistributionEngine:
         stop = ts.searchsorted(self.s_hi, side="right")
         for j, at in _pair_blocks(first, stop, len(ts)):
             piece = self.sloped[j]
-            estar, part = self._crossed(piece, ts[at])
+            grow, part = self._crossed(piece, ts[at])
             total += np.bincount(at, weights=part, minlength=len(ts))
             if slope:
-                # |t/dv| <= hi/ulp(hi) for a crossed piece, so no overflow
-                part = self.sign[piece] * m * estar * self.du[piece] * (ts[at] / self.dv[piece])
+                # r*^m = base e^(sign m y du); |t/dv| <= hi/ulp(hi) for a
+                # crossed piece, so no overflow
+                estar = self.base[piece] * (grow + 1.0)
+                part = -m * estar * self.du[piece] * (ts[at] / self.adv[piece])
                 t_rate += np.bincount(at, weights=part, minlength=len(ts))
         total, t_rate = self._closed_form(
             ts, total, ts <= self.v_0, (ts <= self.v_n).nonzero(), t_rate
@@ -1162,23 +1180,40 @@ def _weak_sup(dist: Callable, f: RadialProfile, p: float, m: int, levels: np.nda
     return best
 
 
-def _lorentz_profile(f: RadialProfile, p: float, r: float, measure: WeightedMeasure) -> float:
+def _lorentz_profile(
+    f: RadialProfile, p: float, rs: Sequence[float], measure: WeightedMeasure
+) -> list[float]:
+    """||f||_{p,r} of a profile for each r in rs, read from one engine and one level array."""
     m = measure.weight_exponent
     gamma = f.tail_exponent
     levels = _positive_levels(f)
     if len(levels) == 0:
-        return 0.0
-    has_tail = f.values[-1] > 0
-    if has_tail and p * gamma <= m:
+        return [0.0 for _ in rs]
+    if f.values[-1] > 0 and p * gamma <= m:
         raise DivergenceError(
-            f"L^({p},{r}) diverges: tail exponent {gamma} gives d_f(t) ~ t^(-{m}/{gamma}) "
+            f"L^({p},{rs[0]}) diverges: tail exponent {gamma} gives d_f(t) ~ t^(-{m}/{gamma}) "
             f"with {m}/{gamma} >= p"
         )
-
     dist = _DistributionEngine(f, measure)
-    if r == math.inf:
-        return _weak_sup(dist, f, p, m, levels)
+    return [
+        _weak_sup(dist, f, p, m, levels) if r == math.inf
+        else _lorentz_finite(dist, f, p, r, measure, levels)
+        for r in rs
+    ]
 
+
+def _lorentz_finite(
+    dist: _DistributionEngine,
+    f: RadialProfile,
+    p: float,
+    r: float,
+    measure: WeightedMeasure,
+    levels: np.ndarray,
+) -> float:
+    """||f||_{p,r} for finite r, from the engine dist of f and its positive levels."""
+    m = measure.weight_exponent
+    gamma = f.tail_exponent
+    has_tail = f.values[-1] > 0
     if has_tail:
         c1, c2 = _tail_coeffs(f, measure)
         alpha = r * (1.0 - m / (p * gamma))
@@ -1264,7 +1299,7 @@ def lorentz_quasinorm(
     _check_exponent(p)
     if not (r == math.inf or 0 < r < math.inf):
         raise ValueError(f"secondary exponent must be +inf or positive and finite, got {r}")
-    return _lorentz_profile(_distribution_reading(f, measure), p, r, measure)
+    return _lorentz_profile(_distribution_reading(f, measure), p, (r,), measure)[0]
 
 
 @dataclass(frozen=True)
@@ -1284,13 +1319,15 @@ def interpolation_check(
     Exact for every measurable f (the normalizing p factor cancels), so
     failures beyond a 1e-8 relative slack indicate a quadrature bug, not a
     borderline profile. A field is rearranged once (4096 nodes) and all
-    three terms, the L^p norm too, read that rearrangement.
+    three terms, the L^p norm too, read that rearrangement. Both Lorentz
+    terms read one distribution engine.
     """
     if not p < r < math.inf:
         raise ValueError(f"need p < r < inf, got r={r}, p={p}")
+    _check_exponent(p)
     f = _distribution_reading(f, measure)
-    lhs = lorentz_quasinorm(f, p, r, measure) ** r
-    weak = lorentz_quasinorm(f, p, math.inf, measure)
+    lorentz, weak = _lorentz_profile(f, p, (r, math.inf), measure)
+    lhs = lorentz**r
     strong = lp_norm(f, p, measure)
     rhs = float(weak ** (r - p) * strong**p)
     return InterpolationReport(lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs * (1 + 1e-8)))

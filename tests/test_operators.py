@@ -183,6 +183,21 @@ def test_t_matrix_on_a_perturbed_grid_is_built_row_by_row():
     assert np.array_equal(_t_columns(1, f), _t_columns(1, f, out_radii=r))
 
 
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 2048, 8193])
+def test_nonnegative_lags_are_the_full_correlation(n):
+    # around one block of _LAG_BLOCK outputs and at the package grid sizes;
+    # every term is nonnegative, so each entry agrees to rounding
+    from kplane.operators import _LAG_BLOCK, _nonnegative_lags
+
+    assert _LAG_BLOCK == 256
+    rng = np.random.default_rng(n)
+    a = 10.0 ** rng.uniform(-12.0, 0.0, n) * rng.uniform(size=n)
+    row = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    want = np.correlate(a, row, "full")[n - 1 :]
+    got = _nonnegative_lags(a, row)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_t_transform_memory_is_linear_in_the_grid():
     # a stored 8192-node matrix alone would take 256 MB
     from kplane import operators

@@ -185,6 +185,40 @@ def test_lp_norm_homogeneity_and_errors():
         lp_norm(f, 1.0, radial_measure(3))
 
 
+def _pieces_power_sum_per_node(ua, ub, va, vb, p, m):
+    # the GL12 rule one node at a time: sum over pieces of
+    # du sum_g w_g |v(x_g)|^p e^(m u(x_g))
+    from kplane.profiles import _GL12_W, _GL12_X
+
+    du = ub - ua
+    acc = np.zeros_like(du)
+    with np.errstate(divide="ignore"):
+        for xg, wg in zip(_GL12_X, _GL12_W):
+            uu = ua + du * xg
+            vv = va + (vb - va) * xg
+            acc += wg * np.exp(p * np.log(np.abs(vv)) + m * uu)
+    return float(np.sum(acc * du))
+
+
+def test_pieces_power_sum_is_the_per_node_rule():
+    # signed values (lp_distance passes differences), exact zeros at either
+    # end, widths from 1e-12 to 2; every term is nonnegative, so the two
+    # summation orders agree to rounding
+    from kplane.profiles import _pieces_power_sum
+
+    rng = np.random.default_rng(1601)
+    for _ in range(100):
+        n = int(rng.integers(1, 400))
+        p, m = float(rng.uniform(0.5, 4.0)), int(rng.integers(1, 5))
+        ua = rng.uniform(-5.0, 5.0, n)
+        ub = ua + 10.0 ** rng.uniform(-12.0, math.log10(2.0), n)
+        va, vb = rng.uniform(-2.0, 2.0, (2, n)) * 10.0 ** rng.uniform(-8.0, 0.0, (2, n))
+        va[rng.uniform(size=n) < 0.2] = 0.0
+        vb[rng.uniform(size=n) < 0.2] = 0.0
+        want = _pieces_power_sum_per_node(ua, ub, va, vb, p, m)
+        assert _pieces_power_sum(ua, ub, va, vb, p, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
 def test_exponent_must_be_positive_and_finite(p):
     # p = inf is outside the integrals' range, as are p <= 0 and NaN: taken
@@ -297,22 +331,24 @@ def dense_distribution(f, t, mu):
     """Measure of {f >= t}: every piece of the profile masked at every threshold.
 
     The per-piece arithmetic is the engine's, so the two differ only in the
-    order of summation; near a peak the measure is a difference of much
-    larger exponentials and would amplify any other rounding.
+    order of summation: a piece's part is an endpoint's r^m times one expm1
+    of the log-width kept next to its high end, read as a fraction of
+    du = log1p((r_b - r_a)/r_a).
     """
     m = mu.weight_exponent
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, v = f.log_radii, f.values
-    ua, ub, va, vb = u[:-1], u[1:], v[:-1], v[1:]
-    ea, eb = np.exp(m * ua), np.exp(m * ub)
+    r, v = f.radii, f.values
+    ra, rb, va, vb = r[:-1], r[1:], v[:-1], v[1:]
+    du = np.log1p((rb - ra) / ra)
     total = np.where(t <= v[0], f.radii[0] ** m, 0.0)
     for k, tk in enumerate(t):
         full = tk <= np.minimum(va, vb)
         cross = ~full & (tk <= np.maximum(va, vb))
-        frac = (tk - va[cross]) / (vb - va)[cross]
-        e_star = np.exp(m * (ua[cross] + (ub - ua)[cross] * frac))
-        part = np.where(vb[cross] > va[cross], eb[cross] - e_star, e_star - ea[cross])
-        total[k] += np.sum(eb[full] - ea[full]) + np.sum(part)
+        up = vb[cross] > va[cross]
+        kept = (np.maximum(va, vb)[cross] - tk) / np.abs(vb - va)[cross]
+        grow = np.expm1(np.where(up, -m, m) * du[cross] * kept)
+        part = np.where(up, -(rb[cross] ** m) * grow, ra[cross] ** m * grow)
+        total[k] += np.sum(ra[full] ** m * np.expm1(m * du[full])) + np.sum(part)
     if v[-1] > 0:
         with np.errstate(over="ignore"):
             r_t = f.radii[-1] * (v[-1] / t) ** (1.0 / f.tail_exponent)
@@ -417,6 +453,21 @@ def _segment_query_cases():
     }
 
 
+def test_distribution_engine_on_radii_an_ulp_apart():
+    # a spike on three radii one ulp apart: log r0, log r1 and log r2 round
+    # to within an ulp of each other, so the pieces' widths must come from
+    # the radii. {f >= 1/2} runs from sqrt(r0 r1) to sqrt(r1 r2), whose
+    # measure under r^3 dr is r1^2 (r2^2 - r0^2)/4
+    from fractions import Fraction
+
+    r0 = 18.2537
+    r1 = math.nextafter(r0, math.inf)
+    r2 = math.nextafter(r1, math.inf)
+    f = RadialProfile(3, np.array([r0, r1, r2]), np.array([0.0, 1.0, 0.0]), 4.0)
+    want = float(Fraction(r1) ** 2 * (Fraction(r2) ** 2 - Fraction(r0) ** 2) / 4)
+    assert distribution_at(f, 0.5, radial_measure(4)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("case", sorted(_segment_query_cases()))
 def test_engine_segment_query_is_the_threshold_query(case):
     # the Lorentz quadrature reads d at GL24 nodes of the level segments and
@@ -518,6 +569,37 @@ def test_interpolation_check():
     assert type(rep.lhs) is float and type(rep.rhs) is float
     with pytest.raises(ValueError):
         interpolation_check(f, 2.0, 2.0, mu)
+
+
+def test_interpolation_check_reads_one_engine(monkeypatch):
+    # both Lorentz terms read one distribution engine, and the report is
+    # the public calls' values bit for bit
+    from kplane import profiles
+    from kplane.verify import _bump_mix_profile
+
+    builds = []
+
+    class Counted(profiles._DistributionEngine):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(profiles, "_DistributionEngine", Counted)
+    rng = np.random.default_rng(1602)
+    cases = [(h_profile(3), 2.0, 3.0), (step_profile(3, [0.5, 1.0, 2.0], [1.0, 3.0, 2.0]), 1.5, 4.0)]
+    for _ in range(4):
+        # tails of at least 2.2 keep L^p finite in d = 3 for p >= 1.4
+        p = float(rng.uniform(1.4, 3.0))
+        f = _bump_mix_profile(rng, 3, default_radial_grid(384))
+        cases.append((f, p, p * float(rng.uniform(1.1, 4.0))))
+    mu = lebesgue_measure(3)
+    for f, p, q in cases:
+        builds.clear()
+        rep = interpolation_check(f, p, q, mu)
+        assert len(builds) == 1
+        weak = lorentz_quasinorm(f, p, math.inf, mu)
+        assert rep.lhs == lorentz_quasinorm(f, p, q, mu) ** q
+        assert rep.rhs == float(weak ** (q - p) * lp_norm(f, p, mu) ** p)
 
 
 @pytest.mark.parametrize("r", [math.inf, math.nan, 1.0])
