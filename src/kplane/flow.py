@@ -19,6 +19,7 @@ functional ratio is nondecreasing along the way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -113,6 +114,10 @@ class EllipsoidFit:
 # term (4^-28 ~ 1e-17 relative there); below the split W is read in closed form.
 _A_SPLIT = 4.0
 _SERIES_LOWEST = -28
+# Even d: below A - 1 = _NEAR_ONE, W is read from its series in A - 1, cut
+# after _NEAR_TERMS terms (the terms fall as ((A - 1)/2)^n, 4^-30 ~ 1e-18)
+_NEAR_ONE = 0.5
+_NEAR_TERMS = 30
 # Gauss rules beyond profiles' GL12 (moments of whole pieces)
 _GL8_X, _GL8_W = _gl01(8)  # crossed pieces and the band below the split
 _GL32_X, _GL32_W = _gl01(32)  # head and tail below the split
@@ -121,6 +126,12 @@ _GL48_X, _GL48_W = _gl01(48)  # the peak kernel at its fit nodes
 # higher end is read through the peak kernel at the levels above that end
 _PEAK_LOG_RISE = 0.25
 _PEAK_FIT_NODES = 20
+# the kernel is fitted up to the least _PEAK_LOG_RISE 4^-j at or above the
+# engine's largest rise, j <= _PEAK_BUCKETS, once per process (_peak_kernel)
+_PEAK_BUCKETS = 20
+# (peak, level) entries of one dense tile of the peak read: its power matrix,
+# one row per coefficient, stays in cache
+_PEAK_TILE = 8192
 # sub-piece end levels at which d is tabulated to start the inversion
 _TABLE_LEVELS = 256
 # even d: band pieces adjacent in lo order, read together on one Chebyshev
@@ -138,7 +149,11 @@ class _LayerKernel:
     For odd d the sum is finite and W a polynomial. For even d it is the
     binomial series, cut at A^-28 and used only where A >= _A_SPLIT; there W
     itself is P(A) sqrt(A^2 - 1) + e arcosh A, P of degree d - 1, and c makes
-    the cut series agree with it at the split.
+    the cut series agree with it at the split. Near A = 1 those two terms are
+    of size sqrt(A - 1) while W ~ (A - 1)^((d-1)/2), so below
+    x = A - 1 = _NEAR_ONE W is read as x^((d-1)/2) sum_n b_n x^n / (n + (d-1)/2),
+    sum_n b_n x^n = (2 + x)^((d-3)/2) (1 + x)^2, the integral of
+    W'(1 + x) = x^((d-3)/2) (2 + x)^((d-3)/2) (1 + x)^2 term by term.
     """
 
     def __init__(self, d: int) -> None:
@@ -166,6 +181,15 @@ class _LayerKernel:
             p[k - 1] = (rhs[k] + (k + 1) * p[k + 1]) / k
         self.poly = p[:d]
         self.arcosh = rhs[0] + p[1]
+        # near A = 1: the binomial series of (2 + x)^((d-3)/2), times (1 + x)^2
+        root2 = np.ones(_NEAR_TERMS)
+        root2[0] = 2.0**half
+        for n in range(1, _NEAR_TERMS):
+            root2[n] = root2[n - 1] * (half - (n - 1)) / (2.0 * n)
+        self.near_power = (d - 1) / 2.0
+        self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:_NEAR_TERMS] / (
+            np.arange(_NEAR_TERMS) + self.near_power
+        )
         ls = math.log(_A_SPLIT)
         self.c = 0.0
         self.c = float(self.value(np.array(ls)) - self._series(np.array(ls)))
@@ -174,16 +198,25 @@ class _LayerKernel:
         return np.exp(la[..., None] * self.j) @ self.a + self.b * la + self.c
 
     def value(self, la: np.ndarray) -> np.ndarray:
-        """W(e^la), free of cancellation near A = 1."""
+        """W(e^la), free of cancellation near A = 1.
+
+        Odd d sums expm1 terms. Even d reads the closed form, and its series
+        in x = A - 1 below _NEAR_ONE.
+        """
         if self.odd:
             return sum(a * np.expm1(j * la) for a, j in zip(self.a, self.j))
         big_a = np.exp(la)
-        am1 = np.expm1(la)
+        am1 = np.asarray(np.expm1(la))
         root = np.sqrt(am1 * (big_a + 1.0))
-        return (
+        out = np.asarray(
             np.polynomial.polynomial.polyval(big_a, self.poly) * root
             + self.arcosh * np.log1p(am1 + root)
         )
+        near = am1 < _NEAR_ONE
+        if np.any(near):
+            x = am1[near]
+            out[near] = x**self.near_power * np.polynomial.polynomial.polyval(x, self.near)
+        return out
 
     def from_a(self, big_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(W(A), W'(A) A) for even d from A itself: one square root, one log.
@@ -282,12 +315,13 @@ class _PeakKernel:
     P is interpolated at Chebyshev points of sqrt L from a 48-node rule in
     theta, y = y_mid + y_half sin(theta), which absorbs the endpoint zeros.
 
-    The fit leaves P's power-basis coefficients in its own variable
-    x = 2 q / q_max - 1, q = sqrt L, highest power first, in coef; in x they
-    stay near the size of P, where powers of q would grow as q_max^-n. A read is one square root and
-    one in-place Horner loop in x that carries P and dP/dx together; then
-    P' = dP/dq = (2 / q_max) dP/dx, K = q^(d-2) L P and
-    dK/dL = q^(d-2) (d P + q P')/2.
+    The fit leaves power-basis coefficients in P's own variable
+    x = 2 q / q_max - 1, q = sqrt L, lowest power first, where they stay near
+    the size of P (powers of q would grow as q_max^-n). coef has two rows:
+    P/m and R/2, R = d P + q P' = d P + (x + 1) dP/dx. A read builds the
+    powers of x once and takes both rows in one product; then
+    K/m = q^(d-2) L P/m and dK/dL = q^(d-2) R/2. The fit depends on (d, m,
+    lam_max) alone; _peak_kernel keeps one per rise bucket.
     """
 
     def __init__(self, ker: _LayerKernel, m: int, lam_max: float) -> None:
@@ -305,33 +339,51 @@ class _PeakKernel:
         weight = math.pi * _GL48_W * half[:, None] * np.cos(theta) * np.exp(y / m)
         k_val = np.sum(weight * ker.value(la), axis=1)
         cheb = np.polynomial.chebyshev.chebfit(x, k_val / q**self.d, n - 1)
-        # keep the terms above rounding: few on the short intervals of
+        # keep the terms above rounding, at least two (a read takes x from
+        # the second row of its powers): few on the short intervals of
         # ordinary grids, where P is nearly linear
         keep = int(np.flatnonzero(np.abs(cheb) > 1e-15 * np.abs(cheb).max())[-1]) + 1
-        self.coef = np.polynomial.chebyshev.cheb2poly(cheb[:keep])[::-1]
+        p = np.polynomial.chebyshev.cheb2poly(cheb[: max(keep, 2)])
+        power = np.arange(len(p))
+        r = (self.d + power) * p
+        r[:-1] += power[1:] * p[1:]
+        self.coef = np.array([p / m, 0.5 * r])
 
-    def __call__(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, dK/dL) at lam in [0, lam_max]."""
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
+        """(K/m, dK/dL) at lam in [0, lam_max], stacked on a new first axis.
+
+        A read at lam = 0 adds nothing: K and, for d = 2 too, dK/dL read 0.
+        """
         q = np.sqrt(lam)
-        x = q * (2.0 / self.q_max)
-        x -= 1.0
-        p, dp = np.full_like(x, self.coef[0]), np.zeros_like(x)
-        for c in self.coef[1:]:
-            dp *= x
-            dp += p
-            p *= x
-            p += c
-        dp *= 2.0 / self.q_max
-        q_d2 = q if self.d == 3 else q ** (self.d - 2)
-        k_val = q_d2 * lam
-        k_val *= p
-        # d P + q P', in the buffers of P and P'
-        p *= self.d
-        dp *= q
-        p += dp
-        k_der = 0.5 * q_d2
-        k_der *= p
-        return k_val, k_der
+        powers = np.empty((self.coef.shape[1],) + lam.shape)
+        powers[0] = 1.0
+        np.multiply(q, 2.0 / self.q_max, out=powers[1])
+        powers[1] -= 1.0
+        for k in range(2, len(powers)):
+            np.multiply(powers[k - 1], powers[1], out=powers[k])
+        out = (self.coef @ powers.reshape(len(powers), -1)).reshape((2,) + lam.shape)
+        out[0] *= lam
+        if self.d == 2:
+            out *= np.sign(q)
+        else:
+            out *= q if self.d == 3 else q ** (self.d - 2)
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _peak_kernel(d: int, m: int, lam_max: float) -> _PeakKernel:
+    """The peak kernel of (d, m) up to lam_max, fitted once per process."""
+    return _PeakKernel(_LayerKernel(d), m, lam_max)
+
+
+def _rise_bucket(rise: float) -> float:
+    """The least _PEAK_LOG_RISE 4^-j >= rise, j <= _PEAK_BUCKETS."""
+    bucket = _PEAK_LOG_RISE
+    for _ in range(_PEAK_BUCKETS):
+        if bucket / 4.0 < rise:
+            break
+        bucket /= 4.0
+    return bucket
 
 
 def _power_integral(c: np.ndarray, llo, lhi, lref, s: float) -> np.ndarray:
@@ -376,7 +428,10 @@ class _InversionLayerCake:
     band between is integrated per (level, sub-piece) on one 8-node graded
     rule, or per block of sub-pieces far from A = 1). A piece with an
     interior maximum, at levels above both its ends, enters through the
-    one-variable _PeakKernel instead of two crossings. The constant head and the power tail are closed form.
+    one-variable _PeakKernel instead of two crossings; those peaks are read
+    in dense (peak, level) tiles, one power-matrix product each, and the
+    kernel is fitted once per (d, m, rise bucket). The constant head and the
+    power tail are closed form.
     d'(t) = -(2 |S^{d-2}| / (m t)) int W'(A) A over the same set, since
     W(1) = 0 drops the boundary term.
     """
@@ -418,7 +473,9 @@ class _InversionLayerCake:
         self.peak_top = np.exp(log_peak[kernel_read])
         self.peak_end = np.exp(log_end[kernel_read])
         self.peak_kernel = (
-            _PeakKernel(ker, m, float(np.max(log_peak - log_end, where=kernel_read, initial=0.0)))
+            _peak_kernel(
+                g.d, m, _rise_bucket(float(np.max(log_peak - log_end, where=kernel_read, initial=0.0)))
+            )
             if np.any(kernel_read) else None
         )
         live = np.maximum(lpa, lpb) > -np.inf
@@ -637,21 +694,38 @@ class _InversionLayerCake:
     def _peaks(self, ts, lt, val, der) -> None:
         """Add the whole peaks, at the sorted levels above both ends of their piece.
 
-        Each (peak, level) pair reads the kernel at log(phi_c/t) and adds
-        e^(-u_c)/m K and e^(-u_c) K', with e^(-u_c) taken once per peak.
+        Peaks ordered by their first level are read in dense tiles: a run of
+        peaks times the run of levels any of them sees, at most _PEAK_TILE
+        entries. Entries outside a peak's window (t <= end or t >= top) read
+        the kernel at L = 0, which adds nothing. One product of e^(-u_c) with
+        the tile's (K/m, K') adds the tile to every level it covers.
         """
-        n = len(ts)
         first = ts.searchsorted(self.peak_end, side="right")
         stop = ts.searchsorted(self.peak_top, side="left")
-        for peak, level in _pair_blocks(first, stop, n):
-            lam = self.peak_log[peak] - lt[level]
-            k_val, k_der = self.peak_kernel(np.maximum(lam, 0.0, out=lam))
-            weight = self.peak_weight[peak]
-            k_val *= weight
-            k_val /= self.m
-            k_der *= weight
-            val += np.bincount(level, weights=k_val, minlength=n)
-            der += np.bincount(level, weights=k_der, minlength=n)
+        live = (stop > first).nonzero()[0]
+        live = live[first[live].argsort(kind="stable")]
+        first, stop = first[live], stop[live]
+        log_c, weight = self.peak_log[live, None], self.peak_weight[live]
+        end, top = self.peak_end[live, None], self.peak_top[live, None]
+        a = 0
+        while a < len(live):
+            lo = int(first[a])
+            span = np.maximum.accumulate(stop[a : a + _PEAK_TILE]) - lo
+            size = span * np.arange(1, len(span) + 1)
+            b = a + max(int(size.searchsorted(_PEAK_TILE, side="right")), 1)
+            hi = lo + int(span[b - a - 1])
+            # a single peak may see more levels than a tile holds
+            step = _PEAK_TILE // (b - a)
+            for l0 in range(lo, hi, step):
+                l1 = min(l0 + step, hi)
+                t = ts[None, l0:l1]
+                lam = log_c[a:b] - lt[None, l0:l1]
+                np.maximum(lam, 0.0, out=lam)
+                lam *= (t > end[a:b]) & (t < top[a:b])
+                add = weight[a:b] @ self.peak_kernel(lam)
+                val[l0:l1] += add[0]
+                der[l0:l1] += add[1]
+            a = b
 
     def _crossed(self, piece, t, lt):
         """Contributions of sub-pieces crossing their levels: (W, W'A) integrals."""

@@ -107,10 +107,10 @@ def radial_measure(m: int) -> WeightedMeasure:
 class RadialProfile:
     """Radial function on [0, inf) with a declared power tail.
 
-    radii must be strictly increasing and positive; values nonnegative and
-    finite. Between nodes the value is linear in log r. Below radii[0] the
-    profile is constant at values[0]; beyond radii[-1] it decays like
-    values[-1] * (radii[-1]/r)**tail_exponent.
+    radii must be strictly increasing, positive and finite; values
+    nonnegative and finite. Between nodes the value is linear in log r.
+    Below radii[0] the profile is constant at values[0]; beyond radii[-1] it
+    decays like values[-1] * (radii[-1]/r)**tail_exponent.
     """
 
     d: int
@@ -129,8 +129,9 @@ class RadialProfile:
             raise ValueError("radii and values must be 1-d arrays of equal length")
         if len(radii) < 1:
             raise ValueError("need at least one node")
-        if not (radii[0] > 0 and np.all(np.diff(radii) > 0)):
-            raise ValueError("radii must be positive and strictly increasing")
+        # increasing radii can only be infinite at the last node
+        if not (radii[0] > 0 and np.all(np.diff(radii) > 0) and radii[-1] < math.inf):
+            raise ValueError("radii must be positive, finite and strictly increasing")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("values must be finite and nonnegative")
         if not (self.tail_exponent > 0 and math.isfinite(self.tail_exponent)):
@@ -1341,14 +1342,19 @@ def lp_distance(
     Node sets are merged, sign changes of the difference are split into their
     own pieces (so each GL panel integrates a single-signed linear function),
     and the far tails are handled in closed form when the exponents match,
-    by geometric panels otherwise.
+    by geometric panels otherwise. Profiles on equal radii, as along the
+    flow, skip the merge: their radii, log radii and values are the merged
+    grid and its values bit for bit.
     """
     _check_exponent(p)
     m = measure.weight_exponent
-    r_all = np.union1d(f.radii, g.radii)
-    u = np.log(r_all)
-    vf = np.asarray(f.evaluate(r_all), dtype=float)
-    vg = np.asarray(g.evaluate(r_all), dtype=float)
+    if np.array_equal(f.radii, g.radii):
+        r_all, u, vf, vg = f.radii, f.log_radii, f.values, g.values
+    else:
+        r_all = np.union1d(f.radii, g.radii)
+        u = np.log(r_all)
+        vf = np.asarray(f.evaluate(r_all), dtype=float)
+        vg = np.asarray(g.evaluate(r_all), dtype=float)
     diff = vf - vg
     ua, ub = u[:-1], u[1:]
     va, vb = diff[:-1], diff[1:]

@@ -1,6 +1,7 @@
 """Competing-symmetries iteration: convergence, monotonicity, diagnostics."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,38 +142,43 @@ def test_competing_step_unbounded_image():
     assert np.all(np.isfinite(out.values)) and np.all(np.diff(out.values) <= 0)
 
 
-def _peak_read_reference(layer, ts):
-    """The peaks' part of (d, d') at sorted levels ts, summed pair by pair in peak order.
+def _kernel_rows_exact(ker, q):
+    """The peak kernel's stored rows P/m and R/2 at x = 2 q / q_max - 1, exactly."""
+    x = 2 * q / Fraction(ker.q_max) - 1
+    p, r = Fraction(0), Fraction(0)
+    for c_val, c_der in zip(ker.coef[0][::-1], ker.coef[1][::-1]):
+        p = p * x + Fraction(c_val)
+        r = r * x + Fraction(c_der)
+    return p, r
 
-    Each (peak, level) pair adds e^(-u_c) K(L)/m and e^(-u_c) K'(L) at
-    L = log(phi_c/t), with K = q^(d-2) L P and K' = q^(d-2) (d P + q P')/2
-    at q = sqrt L. P and dP/dx come from one Horner loop over P's
-    coefficients in x = 2 q / q_max - 1, and P' = dP/dq = (2 / q_max) dP/dx.
+
+def _peak_read_exact(layer, t, lt):
+    """The peaks' part of (d, d') at level t, as exact fractions.
+
+    Each peak whose window holds t adds e^(-u_c) q^(d-2) L P/m and
+    e^(-u_c) q^(d-2) R/2 from the kernel's stored rows P/m and R/2 in
+    x = 2 q / q_max - 1, at the float L = log(phi_c) - lt and q = sqrt L.
     """
-    ker, m, d = layer.peak_kernel, layer.m, layer.kernel.d
-    level, peak = np.nonzero(
-        (ts[:, None] > layer.peak_end[None, :]) & (ts[:, None] < layer.peak_top[None, :])
-    )
-    lam = np.maximum(layer.peak_log[peak] - np.log(ts[level]), 0.0)
-    q = np.sqrt(lam)
-    x = q * (2.0 / ker.q_max) - 1.0
-    p, dp = np.full_like(x, ker.coef[0]), np.zeros_like(x)
-    for c in ker.coef[1:]:
-        dp = dp * x + p
-        p = p * x + c
-    dp = dp * (2.0 / ker.q_max)
-    q_d2 = q ** (d - 2)
-    weight = layer.peak_weight[peak]
-    val = np.bincount(level, weights=weight * (q_d2 * lam * p) / m, minlength=len(ts))
-    der = np.bincount(level, weights=weight * (0.5 * q_d2 * (d * p + q * dp)), minlength=len(ts))
-    return val, der, len(level)
+    ker, d = layer.peak_kernel, layer.kernel.d
+    inside = (t > layer.peak_end) & (t < layer.peak_top)
+    lam = np.maximum(layer.peak_log[inside] - lt, 0.0)
+    val, der = Fraction(0), Fraction(0)
+    for weight, lam_i, q in zip(layer.peak_weight[inside], lam, np.sqrt(lam)):
+        q = Fraction(float(q))
+        p, r = _kernel_rows_exact(ker, q)
+        scale = Fraction(float(weight)) * q ** (d - 2)
+        val += scale * Fraction(float(lam_i)) * p
+        der += scale * r
+    return val, der, int(inside.sum())
 
 
 @pytest.mark.parametrize("case", ("h13", "h12", "h24", "step-start"))
 def test_peak_read_matches_the_per_pair_formula(case):
-    # the layer cake reads the (peak, level) pairs with e^(-u_c) taken once
-    # per peak and the kernel's Horner loop in place; against the pair
-    # formula only rounding may differ (both read equal today)
+    # the layer cake reads the (peak, level) pairs in dense tiles, one power
+    # matrix and one product with e^(-u_c) each. Against the exact sum of
+    # the pair formula at 48 seeded levels, val and der read at most 2.9 and
+    # 3.6 ulps. The bound separates it from a pair-by-pair sum in peak order,
+    # which reads 7.3-10.3 ulps at the worst level of each case
     from kplane.flow import _InversionLayerCake
 
     r = default_radial_grid(2048)
@@ -187,23 +193,26 @@ def test_peak_read_matches_the_per_pair_formula(case):
     ts = np.sort(np.concatenate([
         layer.peak_end + x * (layer.peak_top - layer.peak_end) for x in (0.3, 0.8)
     ]))
-    want_val, want_der, n_pairs = _peak_read_reference(layer, ts)
-    assert n_pairs > 2 * len(layer.peak_top) > 1000
-    assert np.all(want_val > 0) and np.all(want_der > 0)
+    lt = np.log(ts)
     val, der = np.zeros(len(ts)), np.zeros(len(ts))
-    layer._peaks(ts, np.log(ts), val, der)
+    layer._peaks(ts, lt, val, der)
     ulp = np.finfo(float).eps
-    assert np.max(np.abs(val - want_val) / want_val) <= 4 * ulp
-    assert np.max(np.abs(der - want_der) / want_der) <= 4 * ulp
+    n_pairs = 0
+    for i in np.random.default_rng(17).choice(len(ts), 48, replace=False):
+        want_val, want_der, n = _peak_read_exact(layer, ts[i], lt[i])
+        n_pairs += n
+        assert want_val > 0 and want_der > 0
+        assert abs(Fraction(float(val[i])) - want_val) <= 6 * ulp * want_val
+        assert abs(Fraction(float(der[i])) - want_der) <= 6 * ulp * want_der
+    assert n_pairs > 48 * 100
 
 
 @pytest.mark.parametrize("kd", ((1, 3), (1, 2), (2, 4)), ids=("13", "12", "24"))
 def test_peak_kernel_reads_its_polynomial_to_rounding(kd):
-    # K and dK/dL against the exact rational value of the stored polynomial
-    # in x = 2 q / q_max - 1 at the kernel's own q = sqrt L, 300 seeded L;
-    # reads at most 1.3 ulps (20 coefficients at (2, 4), 5 at (1, 3), (1, 2))
-    from fractions import Fraction
-
+    # K/m and dK/dL against the exact rational value of the stored rows P/m
+    # and R/2 in x = 2 q / q_max - 1 at the kernel's own q = sqrt L, 300
+    # seeded L; reads at most 1.7 ulps (6 coefficients at (2, 4), 5 at
+    # (1, 3) and (1, 2))
     from kplane.flow import _InversionLayerCake
 
     k, d = kd
@@ -211,20 +220,64 @@ def test_peak_kernel_reads_its_polynomial_to_rounding(kd):
     ker = _InversionLayerCake(h, k + 1).peak_kernel
     lam = np.random.default_rng(14).uniform(0.0, ker.q_max**2, 300)
     k_val, k_der = ker(lam)
-    q_max = Fraction(ker.q_max)
     ulp = Fraction(np.finfo(float).eps)
     for lam_i, val, der in zip(lam, k_val, k_der):
         q = Fraction(float(np.sqrt(lam_i)))
-        x = 2 * q / q_max - 1
-        p, dp = Fraction(0), Fraction(0)
-        for c in ker.coef:
-            dp = dp * x + p
-            p = p * x + Fraction(c)
-        dp *= 2 / q_max
+        p, r = _kernel_rows_exact(ker, q)
         want_val = q ** (d - 2) * Fraction(lam_i) * p
-        want_der = q ** (d - 2) * (d * p + q * dp) / 2
+        want_der = q ** (d - 2) * r
         assert abs(Fraction(val) - want_val) <= 8 * ulp * abs(want_val)
         assert abs(Fraction(der) - want_der) <= 8 * ulp * abs(want_der)
+
+
+def test_peak_kernel_is_fitted_once_per_rise_bucket(monkeypatch):
+    # the fit depends on (d, m, rise bucket) alone: five steps along the
+    # flow from the indicator, all in one bucket, fit the kernel once
+    from kplane import flow
+
+    fits = []
+
+    class CountedKernel(flow._PeakKernel):
+        def __init__(self, ker, m, lam_max):
+            fits.append((ker.d, m, lam_max))
+            super().__init__(ker, m, lam_max)
+
+    r = default_radial_grid(1024)
+    g = competing_step(normalized_indicator(PR13), PR13, out_radii=r)
+    monkeypatch.setattr(flow, "_PeakKernel", CountedKernel)
+    flow._peak_kernel.cache_clear()
+    try:
+        for _ in range(5):
+            g = competing_step(g, PR13, out_radii=r)
+    finally:
+        flow._peak_kernel.cache_clear()
+    assert len(fits) == 1
+    assert fits[0][:2] == (3, 2) and fits[0][2] in 0.25 * 4.0 ** -np.arange(21)
+
+
+@pytest.mark.parametrize("d", (2, 4, 6, 8))
+def test_even_d_layer_kernel_value_near_one(d):
+    # W(A) = int_0^arcosh(A) sinh^(d-2) s cosh^2 s ds has a positive
+    # integrand; quad reads it within 6e-16 of 40-digit mpmath here (numpy's
+    # 40-node Gauss-Legendre rule reads 5e-15 to 4e-14 off). The closed form
+    # P(A) sqrt(A^2 - 1) + e arcosh A cancels near A = 1 for d >= 4 (d = 6
+    # read 0.25 relative at la = 1e-8); the series in A - 1 there reads
+    # within 5e-16 of mpmath
+    import math
+
+    from scipy import integrate
+
+    from kplane.flow import _LayerKernel
+
+    ker = _LayerKernel(d)
+    la = np.concatenate([np.geomspace(1e-10, 1.0, 41), [0.39, 0.4, 0.41, 0.45]])
+    for la_i, w in zip(la, ker.value(la)):
+        x = math.expm1(la_i)
+        top = math.log1p(x + math.sqrt(x * (2.0 + x)))
+        want = integrate.quad(
+            lambda s: math.sinh(s) ** (d - 2) * math.cosh(s) ** 2, 0.0, top, epsabs=0.0, epsrel=1e-13
+        )[0]
+        assert abs(w / want - 1.0) <= 1e-14, (la_i, w, want)
 
 
 def _layer_cake_quad(g, m, t):

@@ -100,6 +100,14 @@ def test_profile_validation():
         RadialProfile(2, r, v, math.inf)
 
 
+@pytest.mark.parametrize("last", (math.inf, math.nan))
+def test_profile_rejects_non_finite_radii(last):
+    # an infinite last radius used to pass the increasing check; lp_norm
+    # then read inf and distribution_at inf
+    with pytest.raises(ValueError, match="finite"):
+        RadialProfile(3, [1.0, 2.0, last], [1.0, 0.5, 0.2], 4.0)
+
+
 def test_profile_evaluate_head_interior_tail():
     f = RadialProfile(2, np.array([1.0, 4.0]), np.array([2.0, 1.0]), 3.0)
     # constant head
@@ -904,6 +912,65 @@ def test_lp_distance_triangle_inequality():
     assert lp_distance(f, h, p, mu) <= (
         lp_distance(f, g, p, mu) + lp_distance(g, h, p, mu)
     ) * (1 + 1e-10)
+
+
+def _lp_distance_on_union(f, g, p, measure):
+    """lp_distance's formula on the merged grid, written out: union, log, evaluate."""
+    from kplane.profiles import _GL12_W, _GL12_X, _pieces_power_sum
+
+    m = measure.weight_exponent
+    r_all = np.union1d(f.radii, g.radii)
+    u = np.log(r_all)
+    vf, vg = f.evaluate(r_all), g.evaluate(r_all)
+    diff = vf - vg
+    ua, ub, va, vb = u[:-1], u[1:], diff[:-1], diff[1:]
+    cross = va * vb < 0
+    ustar = ua[cross] + (ub - ua)[cross] * va[cross] / (va[cross] - vb[cross])
+    ua = np.concatenate([ua[~cross], ua[cross], ustar])
+    ub = np.concatenate([ub[~cross], ustar, ub[cross]])
+    va = np.concatenate([va[~cross], va[cross], np.zeros(cross.sum())])
+    vb = np.concatenate([vb[~cross], np.zeros(cross.sum()), vb[cross]])
+    total = _pieces_power_sum(ua, ub, va, vb, p, m)
+    total += abs(vf[0] - vg[0]) ** p * r_all[0] ** m / m
+    r_max, af, ag = r_all[-1], vf[-1], vg[-1]
+    if f.tail_exponent == g.tail_exponent or af == 0 or ag == 0:
+        gam = f.tail_exponent if af > 0 else g.tail_exponent
+        total += abs(af - ag) ** p * r_max**m / (gam * p - m)
+    else:
+        for j in range(80):
+            lo = math.log(r_max) + j * math.log(2.0)
+            hi = lo + math.log(2.0)
+            uu = lo + (hi - lo) * _GL12_X
+            rr = np.exp(uu)
+            dd = af * (r_max / rr) ** f.tail_exponent - ag * (r_max / rr) ** g.tail_exponent
+            piece = float(np.sum(_GL12_W * (hi - lo) * np.abs(dd) ** p * np.exp(m * uu)))
+            total += piece
+            if piece < 1e-16 * total:
+                break
+    return (measure.prefactor * total) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("case", ("crossing", "matched-tails", "unmatched-tails", "zero-tail", "copied-radii"))
+def test_lp_distance_on_one_grid_matches_the_union_formula(case):
+    # profiles on equal radii skip the merge and read their own radii, log
+    # radii and values; the distance is the union formula's bit for bit
+    mu = lebesgue_measure(3)
+    r = default_radial_grid(512)
+    f = RadialProfile(3, r, (1.0 + r**2) ** -1.0, 2.0)
+    g = {
+        # the difference changes sign once, tails of one exponent
+        "crossing": RadialProfile(3, r, 0.9 * (1.0 + (0.7 * r) ** 2) ** -1.0, 2.0),
+        "matched-tails": f.scaled(0.75),
+        # a sign change and tails of two exponents (geometric panels)
+        "unmatched-tails": RadialProfile(3, r, 1.3 * (1.0 + r**2) ** -1.5, 3.0),
+        "zero-tail": RadialProfile(3, r, np.where(r < 30.0, 1.1 / (1.0 + r), 0.0), 5.0),
+        "copied-radii": RadialProfile(3, r.copy(), 0.9 * (1.0 + (0.7 * r) ** 2) ** -1.0, 2.0),
+    }[case]
+    assert (g.radii is f.radii) == (case != "copied-radii")
+    got = lp_distance(f, g, 2.5, mu)
+    assert got > 0
+    assert got == _lp_distance_on_union(f, g, 2.5, mu)
+    assert lp_distance(g, f, 2.5, mu) == _lp_distance_on_union(g, f, 2.5, mu)
 
 
 def test_lp_distance_mismatched_tails():
