@@ -114,8 +114,9 @@ class EllipsoidFit:
 # term (4^-28 ~ 1e-17 relative there); below the split W is read in closed form.
 _A_SPLIT = 4.0
 _SERIES_LOWEST = -28
-# Even d: below A - 1 = _NEAR_ONE, W is read from its series in A - 1, cut
-# after _NEAR_TERMS terms (the terms fall as ((A - 1)/2)^n, 4^-30 ~ 1e-18)
+# Even d >= 4: near A = 1, W is read from its series in A - 1, below a cut of
+# at most _NEAR_ONE set per d in _LayerKernel, and after at most _NEAR_TERMS
+# terms (the terms fall as ((A - 1)/2)^n, 4^-30 ~ 1e-18)
 _NEAR_ONE = 0.5
 _NEAR_TERMS = 30
 # Gauss rules beyond profiles' GL12 (moments of whole pieces)
@@ -150,10 +151,14 @@ class _LayerKernel:
     binomial series, cut at A^-28 and used only where A >= _A_SPLIT; there W
     itself is P(A) sqrt(A^2 - 1) + e arcosh A, P of degree d - 1, and c makes
     the cut series agree with it at the split. Near A = 1 those two terms are
-    of size sqrt(A - 1) while W ~ (A - 1)^((d-1)/2), so below
-    x = A - 1 = _NEAR_ONE W is read as x^((d-1)/2) sum_n b_n x^n / (n + (d-1)/2),
+    of size sqrt(A - 1) while W ~ (A - 1)^((d-1)/2), so the closed form is
+    off by about eps (A - 1)^(-(d-2)/2) relative: against 40-digit mpmath it
+    reads 1e-15 at A - 1 = 0.048, 0.15 and 0.45 for d = 4, 6 and 8. Below
+    x = A - 1 = near_cut = min(_NEAR_ONE, 0.1^(2/(d-2))), W is read as
+    x^((d-1)/2) sum_n b_n x^n / (n + (d-1)/2),
     sum_n b_n x^n = (2 + x)^((d-3)/2) (1 + x)^2, the integral of
-    W'(1 + x) = x^((d-3)/2) (2 + x)^((d-3)/2) (1 + x)^2 term by term.
+    W'(1 + x) = x^((d-3)/2) (2 + x)^((d-3)/2) (1 + x)^2 term by term. For
+    d = 2 both terms are positive and no series is needed.
     """
 
     def __init__(self, d: int) -> None:
@@ -182,13 +187,19 @@ class _LayerKernel:
         self.poly = p[:d]
         self.arcosh = rhs[0] + p[1]
         # near A = 1: the binomial series of (2 + x)^((d-3)/2), times (1 + x)^2
-        root2 = np.ones(_NEAR_TERMS)
+        if d == 2:  # two positive terms: the closed form needs no series
+            self.near_cut, n_near = 0.0, 1
+        else:
+            self.near_cut = min(_NEAR_ONE, 0.1 ** (2.0 / (d - 2)))
+            # the terms fall as (x/2)^n: keep those above 1e-18 at the cut
+            n_near = min(_NEAR_TERMS, math.ceil(-18.0 / math.log10(self.near_cut / 2.0)))
+        root2 = np.ones(n_near)
         root2[0] = 2.0**half
-        for n in range(1, _NEAR_TERMS):
+        for n in range(1, n_near):
             root2[n] = root2[n - 1] * (half - (n - 1)) / (2.0 * n)
-        self.near_power = (d - 1) / 2.0
-        self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:_NEAR_TERMS] / (
-            np.arange(_NEAR_TERMS) + self.near_power
+        self.near_int = (d - 2) // 2  # x^((d-1)/2) = x^near_int sqrt(x)
+        self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:n_near] / (
+            np.arange(n_near) + self.near_int + 0.5
         )
         ls = math.log(_A_SPLIT)
         self.c = 0.0
@@ -201,7 +212,7 @@ class _LayerKernel:
         """W(e^la), free of cancellation near A = 1.
 
         Odd d sums expm1 terms. Even d reads the closed form, and its series
-        in x = A - 1 below _NEAR_ONE.
+        in x = A - 1 below near_cut.
         """
         if self.odd:
             return sum(a * np.expm1(j * la) for a, j in zip(self.a, self.j))
@@ -212,25 +223,38 @@ class _LayerKernel:
             np.polynomial.polynomial.polyval(big_a, self.poly) * root
             + self.arcosh * np.log1p(am1 + root)
         )
-        near = am1 < _NEAR_ONE
+        self._read_near(am1, out)
+        return out
+
+    def _read_near(self, am1: np.ndarray, out: np.ndarray) -> None:
+        """Overwrite out with even-d W(1 + x) from its series where x = am1 < near_cut."""
+        near = am1 < self.near_cut
         if np.any(near):
             x = am1[near]
-            out[near] = x**self.near_power * np.polynomial.polynomial.polyval(x, self.near)
-        return out
+            series = np.full_like(x, self.near[-1])
+            for c in self.near[-2::-1]:
+                series *= x
+                series += c
+            series *= np.sqrt(x)
+            series *= x**self.near_int
+            out[near] = series
 
     def from_a(self, big_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(W(A), W'(A) A) for even d from A itself: one square root, one log.
 
-        A - 1 loses relative precision near A = 1, where W is small; the
-        band reads it only on whole pieces above their level.
+        Below A - 1 = near_cut, W is read from value's series in x = A - 1,
+        a subtraction that is exact for A <= 2; the closed form cancels there.
         """
-        root = np.sqrt(np.maximum(big_a - 1.0, 1e-300) * (big_a + 1.0))
+        am1 = np.maximum(big_a - 1.0, 1e-300)
+        root = np.sqrt(am1 * (big_a + 1.0))
         poly = np.full_like(big_a, self.poly[-1])
         for c in self.poly[-2::-1]:
             poly = poly * big_a + c
         cube = big_a * big_a * big_a
         slope = cube / root if self.d == 2 else root ** (self.d - 3) * cube
-        return poly * root + self.arcosh * np.log(big_a + root), slope
+        w = poly * root + self.arcosh * np.log1p(am1 + root)
+        self._read_near(am1, w)
+        return w, slope
 
     def slope(self, la: np.ndarray) -> np.ndarray:
         """W'(A) A = (A^2 - 1)^((d-3)/2) A^3 at A = e^la > 1."""

@@ -16,6 +16,7 @@ in the lambda coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +218,7 @@ class MCEstimate:
     """A Monte Carlo value with its standard error and provenance.
 
     Deterministic given (seed, n_samples): sample blocks of a fixed size
-    draw from counter-based streams keyed by (seed, block index) and are
+    draw from SFC64 streams keyed by SeedSequence([seed, block]) and are
     reduced in fixed order. n_samples counts accepted tuples; n_rejected
     the discarded ones (degenerate or too close to the bad set).
     """
@@ -238,8 +239,17 @@ class MCEstimate:
         }
 
 
-# samples per counter-based stream; the estimates depend on it
+# samples per block stream; the estimates depend on it
 _MC_BLOCK = 65536
+
+
+def _block_stream(seed: int, blk: int) -> np.random.Generator:
+    """The generator of block blk: SFC64 streams keyed by SeedSequence([seed, block]).
+
+    Each block's draws depend on (seed, blk) alone, so the estimate does not
+    depend on the order in which blocks run.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, blk])))
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
@@ -285,17 +295,21 @@ def drury_norm_mc(
     deterministic given (seed, n_samples).
 
     Where the time goes: on the (1,2) and (1,3) extremizers at 1e5 samples
-    (2-core VM), about 60% of a call is sample_p, nearly all of it the
-    Philox normal and chi-square draws that the streams fix; the two value
-    calls take about 10%, line_integral about 15% and the acceptance test
-    about 9%. Each kernel is one matmul and one two-operand contraction over
-    the block, and a block holds two (m, d) point arrays: x1 - x0 is formed
-    in place of x1 once both values are read.
+    (2-core VM, one BLAS thread; 26 and 38 ms a call), about half of a call
+    is sample_p, nearly all of it the SFC64 normal draws that the streams
+    fix (the chi-square(1) mix is a squared normal); the two value calls
+    take about 14%, line_integral about 20% and the acceptance test about
+    11%. Each kernel is one matmul and one two-operand contraction over the
+    block, and a block holds two (m, d) point arrays: x1 - x0 is formed in
+    place of x1 once both values are read.
     """
     if params.k != 1 or params.d not in (2, 3):
         raise ValueError("the Monte Carlo route covers k = 1 with d in {2, 3}")
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     p = params.pf
     power = params.d - params.k
     z_norm = f.lp_power_norm(p)
@@ -306,9 +320,7 @@ def drury_norm_mc(
     n_blocks = -(-n_samples // _MC_BLOCK)
     for blk in range(n_blocks):
         m = min(_MC_BLOCK, n_samples - blk * _MC_BLOCK)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, blk], dtype=np.uint64))
-        )
+        rng = _block_stream(seed, blk)
         x0 = f.sample_p(rng, m, p)
         x1 = f.sample_p(rng, m, p)
         keep = _accepted(x0, x1)

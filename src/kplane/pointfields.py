@@ -162,6 +162,9 @@ class CauchyPowerField:
         f^p is an elliptical Student-t density with nu = (k+1)p - d degrees
         of freedom, so draws are the classic normal over root-chi-square
         mixture; nu = 1 (a Cauchy) in the exponent-pairing case (k+1)p = d+1.
+        There the chi-square(1) mix is drawn as a squared standard normal,
+        which has exactly its law and costs about a quarter of numpy's
+        gamma(1/2) rejection sampler; other nu keep rng.chisquare.
         """
         d = self.d
         nu = (self.k + 1) * p - d
@@ -171,7 +174,11 @@ class CauchyPowerField:
             (self._c_min / nu) * np.linalg.inv(self._A)  # type: ignore[attr-defined]
         )
         z = rng.standard_normal((n, d))
-        mix = rng.chisquare(nu, n)
+        if nu == 1:
+            mix = rng.standard_normal(n)
+            np.square(mix, out=mix)
+        else:
+            mix = rng.chisquare(nu, n)
         x = z @ scale.T
         np.divide(nu, mix, out=mix)
         x *= np.sqrt(mix, out=mix)[:, None]

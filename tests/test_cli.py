@@ -269,6 +269,7 @@ def test_verify_unknown_suite():
         (["iterate", "--tol=-1e-4"], "--tol"),
         (["iterate", "--tol", "nan"], "--tol"),  # would never converge
         (["iterate", "--tol", "inf"], "--tol"),
+        (["verify", "--suite", "drury", "--seed", "-1"], "--seed"),  # was a traceback
     ],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, flag):

@@ -280,6 +280,30 @@ def test_even_d_layer_kernel_value_near_one(d):
         assert abs(w / want - 1.0) <= 1e-14, (la_i, w, want)
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_even_d_layer_kernel_from_a_near_one(d):
+    # the band reads W from A itself; A - 1 is exact for A <= 2, and below
+    # the kernel's near_cut W comes from the series in A - 1. The closed form
+    # alone, with log(A + root) for arcosh A, reads 2e-12 relative at d = 2
+    # and 3e7 at d = 6 at A - 1 = 1e-10. The reference is the quad integral
+    # of test_even_d_layer_kernel_value_near_one
+    import math
+
+    from scipy import integrate
+
+    from kplane.flow import _LayerKernel
+
+    big_a = 1.0 + np.geomspace(1e-10, 0.6, 41)
+    w, _ = _LayerKernel(d).from_a(big_a)
+    for a_i, w_i in zip(big_a, w):
+        x = a_i - 1.0
+        top = math.log1p(x + math.sqrt(x * (2.0 + x)))
+        want = integrate.quad(
+            lambda s: math.sinh(s) ** (d - 2) * math.cosh(s) ** 2, 0.0, top, epsabs=0.0, epsrel=1e-13
+        )[0]
+        assert abs(w_i / want - 1.0) <= 1e-14, (x, w_i, want)
+
+
 def _layer_cake_quad(g, m, t):
     """d(t) of S(embed g) by scipy.integrate.quad on each monotone sub-piece.
 
