@@ -1,12 +1,14 @@
 """Monte Carlo and direct oracles for the transform's L^q norm.
 
 Everything here checks the radial pipeline from the outside: Drury's
-multilinear formula turns ||R f||_q^q into an integral over point tuples,
-which importance sampling can estimate for functions with exactly
-sampleable f^p; a direct angle/offset quadrature provides the same norm in
-d = 2; and two pointwise identities behind the inversion symmetry (a pure
-simplex-volume ratio and a weighted line-integral match) are exposed as
-per-tuple gap functions.
+formula, with one point integrated out by Fubini, turns ||R f||_q^q into an
+integral over a point and a line through it, which importance sampling
+estimates for fields with exactly sampleable f^p and closed-form line
+moments (on the extremizer family its weight is constant, so the estimate
+is exact to rounding); a direct angle/offset quadrature provides the same
+norm in d = 2; and two pointwise identities behind the inversion symmetry
+(a pure simplex-volume ratio and a weighted line-integral match) are
+exposed as per-tuple gap functions.
 
 Line and plane integrals through point tuples use the affine-span
 convention of pointfields: x = x0 + sum_i lambda_i (x_i - x0), integrated
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .params import TransformParams, sphere_area
+from .profiles import _gauss_legendre, _gl01
 
 __all__ = [
     "MCEstimate",
@@ -87,7 +90,7 @@ def sample_point_tuple(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 def _gauss_tan(n_nodes: int):
     """Gauss-Legendre rule for int_R g(lambda) dlambda via lambda = tan(phi)."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     phi = 0.5 * math.pi * x
     return np.tan(phi), 0.5 * math.pi * w / np.cos(phi) ** 2
 
@@ -151,10 +154,10 @@ def span_integral(f, points: np.ndarray, n_nodes: int = 48) -> float:
         c_star = float(c_star)
         foot = x0 + lam0[0] * e1 + lam0[1] * e2
         l_inv = np.linalg.inv(np.linalg.cholesky(G))
-        xg, wg = np.polynomial.legendre.leggauss(n_nodes)
-        phi = 0.25 * math.pi * (xg + 1.0)
+        xg, wg = _gl01(n_nodes)
+        phi = 0.5 * math.pi * xg
         r = math.sqrt(c_star) * np.tan(phi)
-        dr = 0.25 * math.pi * wg * math.sqrt(c_star) / np.cos(phi) ** 2
+        dr = 0.5 * math.pi * wg * math.sqrt(c_star) / np.cos(phi) ** 2
         psi = (np.arange(2 * n_nodes) + 0.5) * (math.pi / n_nodes)
         u = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
         lam = (r[:, None, None] * u[None, :, :]) @ l_inv
@@ -219,8 +222,8 @@ class MCEstimate:
 
     Deterministic given (seed, n_samples): sample blocks of a fixed size
     draw from SFC64 streams keyed by SeedSequence([seed, block]) and are
-    reduced in fixed order. n_samples counts accepted tuples; n_rejected
-    the discarded ones (degenerate or too close to the bad set).
+    reduced in fixed order. n_samples counts the samples used; n_rejected
+    the discarded coincident pairs, which have probability zero.
     """
 
     value: float
@@ -242,6 +245,12 @@ class MCEstimate:
 # samples per block stream; the estimates depend on it
 _MC_BLOCK = 65536
 
+# The rounding floor of the Drury weights and their sum, in units of eps |mean|.
+# On the extremizer family the weights are one constant up to rounding, so
+# the sample variance alone can read 0; the floor is added in quadrature.
+_ROUNDING_ULPS = 16.0
+_EPS = float(np.finfo(float).eps)
+
 
 def _block_stream(seed: int, blk: int) -> np.random.Generator:
     """The generator of block blk: SFC64 streams keyed by SeedSequence([seed, block]).
@@ -252,98 +261,111 @@ def _block_stream(seed: int, blk: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, blk])))
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
-def _accepted(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Tuples with both last coordinates off 1e-8 and separation off 1e-12 size."""
-    size = np.maximum(_row_norm(x0), _row_norm(x1))
-    np.maximum(size, 1.0, out=size)
-    return (
-        (np.abs(x0[:, -1]) >= 1e-8)
-        & (np.abs(x1[:, -1]) >= 1e-8)
-        & (_row_norm(x1 - x0) >= 1e-12 * size)
-    )
-
-
 def drury_norm_mc(
     f,
     params: TransformParams,
     n_samples: int = 1_000_000,
     seed: int = 0,
 ) -> MCEstimate:
-    """||R f||_q^q by importance-sampled Drury formula, for k = 1, d in {2, 3}.
+    """||R f||_q^q by Monte Carlo in Fubini form, for k = 1, d in {2, 3}.
 
-    The formula integrates f(x0) f(x1) times the (d-1) power of the span
-    integral of f over the line through x0, x1. Each point is drawn from
-    f^p / ||f||_p^p, which cancels the heavy tails of the integrand; the
-    per-point importance weight is f^(1-p) ||f||_p^p. f must provide
-    sample_p, lp_power_norm, value, and line_integral (exact line route).
+    The measure on lines is uniform probability over directions times
+    Lebesgue measure on the orthogonal complement, the one that reproduces
+    |S^0|^q |S^{d-2}| int |T f|^q r^{d-2} dr on radial functions. Writing
+    one factor of (R f)^q as the line integral of f, Fubini gives, with
+    q = d + 1,
 
-    The tuple integral equals the L^q(lines) norm power only up to the
-    normalization of the line measure. Under the measure used throughout
-    (uniform probability over directions times offset Lebesgue, the one
-    reproducing |S^0|^q |S^{d-2}| int |T f|^q r^{d-2} dr on radial
-    functions), the Blaschke-Petkantschin factor is the half-sphere area
-    |S^{d-1}|/2, which this estimator divides out; checked in closed form
-    against ball indicators in d = 2.
+        ||R f||_q^q = int f(x0) E_u[ L(x0, u)^d ] dx0,
 
-    Tuples with a last coordinate inside 1e-8 or with nearly coincident
-    points are rejected and counted; the excluded set has null measure, so
-    the estimate is unaffected beyond the reported count. The estimate is
-    deterministic given (seed, n_samples).
+    u uniform on the sphere and L the integral of f over the line through x0
+    along u; this is Drury's formula (Drury 1984; Christ 1984) with the
+    second point integrated out. Each sample draws x0 and y from
+    f^p / ||f||_p^p and takes the line along e = y - x0. Given x0 that axis
+    has density (|S^{d-1}| / 2) M / ||f||_p^p against uniform probability,
+    M = int f(x0 + lambda e)^p |lambda|^(d-1) dlambda, so the weight is
+
+        (2 / |S^{d-1}|) ||f||_p^(2p) f(x0)^(1-p) L^d / M,
+
+    with L and M in lambda units, where the powers of |e| cancel. f must
+    provide d, sample_p, lp_power_norm, lp_norm_rounding, value and
+    line_moments (L and M in closed form). On the extremizer family the weight is one constant up to
+    rounding, so the estimate is exact to rounding at any sample count.
+
+    A pair with y == x0 has no line; it is rejected and counted (it has
+    probability zero). The standard error combines the blocks' centred
+    variances in fixed order (Chan's pairwise update) and adds, in
+    quadrature, a rounding floor eps |value| hypot(c, 2 r): c =
+    _ROUNDING_ULPS for the weights and their sum, r = f.lp_norm_rounding(p)
+    for the closed-form ||f||_p^p, which enters squared. The worst
+    |value / closed form - 1| read 3.0 eps over seeds 0-99 at 1e5 samples on
+    each benchmark field (the (1,2) and (1,3) extremizers, the translate and
+    its S-image) and 2.5 eps over seeds 0-19 at 1e6 on criterion 7's fields;
+    c = 16 keeps five times above that. The affine image of criterion 7
+    (cond M = 226) reads 642 eps from |det M|^-2 times 2 pi^3, because its
+    rounded matrix is that far from the exact image; its r is 4058. The
+    estimate is deterministic given (seed, n_samples).
 
     Where the time goes: on the (1,2) and (1,3) extremizers at 1e5 samples
-    (2-core VM, one BLAS thread; 26 and 38 ms a call), about half of a call
+    (2-core VM, one BLAS thread; 27 and 32 ms a call), about half of a call
     is sample_p, nearly all of it the SFC64 normal draws that the streams
-    fix (the chi-square(1) mix is a squared normal); the two value calls
-    take about 14%, line_integral about 20% and the acceptance test about
-    11%. Each kernel is one matmul and one two-operand contraction over the
-    block, and a block holds two (m, d) point arrays: x1 - x0 is formed in
-    place of x1 once both values are read.
+    fix (the chi-square(1) mix is a squared normal); line_moments takes
+    about 30%, nearly all of it the foot-point reading of the quadratic,
+    the value call at x0 10%, and the weights and block sums the rest.
     """
     if params.k != 1 or params.d not in (2, 3):
         raise ValueError("the Monte Carlo route covers k = 1 with d in {2, 3}")
+    if f.d != params.d:
+        raise ValueError(f"the field lives in d = {f.d}, the transform in d = {params.d}")
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
     p = params.pf
-    power = params.d - params.k
-    z_norm = f.lp_power_norm(p)
-    s1 = 0.0
-    s2 = 0.0
-    accepted = 0
-    rejected = 0
+    d = params.d
+    used = 0
+    mean = 0.0
+    m2 = 0.0  # sum of squared deviations from the running mean
     n_blocks = -(-n_samples // _MC_BLOCK)
     for blk in range(n_blocks):
         m = min(_MC_BLOCK, n_samples - blk * _MC_BLOCK)
         rng = _block_stream(seed, blk)
         x0 = f.sample_p(rng, m, p)
-        x1 = f.sample_p(rng, m, p)
-        keep = _accepted(x0, x1)
+        e = f.sample_p(rng, m, p)
+        e -= x0  # the direction of the line through both points
+        keep = np.einsum("ij,ij->i", e, e) > 0.0
         if not keep.all():
-            x0, x1 = x0[keep], x1[keep]
-        w = f.value(x0) * f.value(x1)
+            x0, e = x0[keep], e[keep]
+        if not len(x0):
+            continue
+        w = f.value(x0)
         w **= 1.0 - p
-        w *= z_norm**2
-        x1 -= x0  # now the direction of the line through both points
-        w *= f.line_integral(x0, x1) ** power
-        s1 += float(np.add.reduce(w))
-        s2 += float(np.add.reduce(w * w))
-        accepted += len(w)
-        rejected += m - len(w)
-    norm_const = 2.0 / sphere_area(params.d)
-    mean = s1 / accepted
-    var = max(s2 - s1 * s1 / accepted, 0.0) / (accepted - 1)
+        line, moment = f.line_moments(x0, e, p)
+        del x0, e
+        for _ in range(d):
+            w *= line
+        w /= moment
+        # Chan's pairwise update: the block's own mean and centred sum of squares
+        nb = len(w)
+        mean_b = float(np.add.reduce(w)) / nb
+        w -= mean_b
+        w *= w
+        shift = mean_b - mean
+        total = used + nb
+        mean += shift * (nb / total)
+        m2 += float(np.add.reduce(w)) + shift * shift * (used * nb / total)
+        used = total
+    if used < 2:
+        raise ValueError(f"only {used} of {n_samples} samples had a line")
+    norm_const = 2.0 / sphere_area(d) * f.lp_power_norm(p) ** 2
+    rounding = _EPS * abs(mean) * math.hypot(_ROUNDING_ULPS, 2.0 * f.lp_norm_rounding(p))
+    var = m2 / (used - 1) / used + rounding * rounding
     return MCEstimate(
-        value=norm_const * mean,
-        std_error=norm_const * math.sqrt(var / accepted),
-        n_samples=accepted,
+        value=float(norm_const * mean),
+        std_error=float(norm_const * math.sqrt(var)),
+        n_samples=used,
         seed=seed,
-        n_rejected=rejected,
+        n_rejected=n_samples - used,
     )
 
 

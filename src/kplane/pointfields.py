@@ -36,6 +36,12 @@ def _quad_form(P: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", z @ P, z)
 
 
+def _det_condition(X: np.ndarray) -> float:
+    """sum |X^-1 .* X^T|: to first order, relative changes of eps in every
+    entry of X move det X by at most eps times this."""
+    return float(np.abs(np.linalg.inv(X) * X.T).sum())
+
+
 def _line_minimum(H: np.ndarray, delta: np.ndarray, e: np.ndarray):
     """(lambda*, a, c*) with q(delta + lambda e) = a (lambda - lambda*)^2 + c*, q = z^T H z.
 
@@ -156,6 +162,23 @@ class CauchyPowerField:
             * radial
         )
 
+    def lp_norm_rounding(self, p: float) -> float:
+        """A first-order bound on the relative rounding of lp_power_norm(p), in eps.
+
+        ||f||_p^p is det(A)^((m-d-1)/2) det(P)^((d-m)/2) times constants,
+        m = (k+1) p, so relative changes of eps in the entries of P move it
+        by at most |m-d-1|/2 cond(A) + (m-d)/2 cond(P) eps, with cond the
+        determinant's condition sum |X^-1 .* X^T|. A matrix that came out of
+        rounded arithmetic, such as an affine image's, is only that close
+        to the field it stands for.
+        """
+        d = self.d
+        m = (self.k + 1) * p
+        return 0.5 * (
+            abs(m - d - 1) * _det_condition(self._A)  # type: ignore[attr-defined]
+            + (m - d) * _det_condition(self.matrix)
+        )
+
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
         """n independent draws from f^p / ||f||_p^p.
 
@@ -209,6 +232,55 @@ class CauchyPowerField:
         c_star **= -k / 2.0
         a *= c_star
         return a
+
+    def line_moments(self, p0, e, p: float):
+        """(int f dlambda, int f^p |lambda|^(d-1) dlambda) along p0 + lambda e, exactly.
+
+        Both come from one reading of the quadratic on the line,
+        Q = a (lambda - lambda*)^2 + c*; with s = (k+1) p / 2 and B = B(1/2, s-1/2),
+          d = 3: A^p B (c*/(2s-3) + a lambda*^2) / (a^(3/2) c*^(s-1/2)),
+          d = 2: A^p (Q0^(1-s) / (a (s-1)) + B |lambda*| I_x / (a^(1/2) c*^(s-1/2))),
+        with Q0 = Q(p0) read at p0 as value reads it and I_x the regularized
+        incomplete Beta(1/2, s-1/2) at x = a lambda*^2 / Q0. In the pairing
+        case, s = (d+1)/2, these are A^p pi Q0 / (2 a^(3/2) c*^(3/2)) at d = 3
+        (Q0 stands for c* + a lambda*^2) and 2 A^p sqrt(Q0) / (a c*) at d = 2.
+        No term cancels: every sum is of positive terms.
+        """
+        d, k = self.d, self.k
+        s = (k + 1) * p / 2.0
+        if d not in (2, 3) or s <= d / 2.0:
+            raise ValueError(f"closed-form line moments cover d in {{2, 3}} with s > d/2, "
+                             f"got d = {d}, s = {s}")
+        A = self._A  # type: ignore[attr-defined]
+        delta = np.asarray(p0, dtype=float) - self.center
+        lam, a, c_star = _line_minimum(A, delta, np.asarray(e, dtype=float))
+        c_star += self._c_min  # type: ignore[attr-defined]
+        line = self.amplitude * sf.beta(0.5, k / 2.0) / np.sqrt(a * c_star**k)
+        scale = self.amplitude**p
+        if d == 3 and s != 2.0:
+            moment = c_star / (2.0 * s - 3.0)
+            moment += a * lam * lam
+        else:
+            moment = _quad_form(A, delta)
+            moment += self._c_min  # type: ignore[attr-defined]
+        del delta
+        if d == 3:
+            moment /= a * np.sqrt(a) * c_star * c_star ** (s - 1.5)  # s = 2: a sqrt
+            moment *= scale * sf.beta(0.5, s - 0.5)
+        elif s == 1.5:
+            moment = np.sqrt(moment)
+            moment /= a * c_star
+            moment *= 2.0 * scale
+        else:
+            # I_x is read from the side away from 1, where 1 - x = c*/Q0 keeps its digits
+            q0, x = moment, a * lam * lam / moment
+            far = x > 0.5
+            ix = np.where(far, 1.0 - sf.betainc(s - 0.5, 0.5, np.where(far, c_star / q0, 0.0)),
+                          sf.betainc(0.5, s - 0.5, np.where(far, 0.0, x)))
+            moment = q0 ** (1.0 - s) / (a * (s - 1.0))
+            moment += np.abs(lam) * sf.beta(0.5, s - 0.5) * ix / (np.sqrt(a) * c_star ** (s - 0.5))
+            moment *= scale
+        return line, moment
 
     def plane_focus(self, p0, e1, e2):
         """(lambda*, G, c*) of the quadratic along x = p0 + lambda1 e1 + lambda2 e2.
@@ -276,6 +348,12 @@ class GaussianBump:
         det_h = float(np.linalg.det(self.shape))
         return self.amplitude**p * (2.0 * math.pi / p) ** (d / 2.0) * det_h**-0.5
 
+    def lp_norm_rounding(self, p: float) -> float:
+        """A first-order bound on the relative rounding of lp_power_norm(p), in eps:
+        it reads det(H)^(-1/2), so cond(H)/2 with cond as in CauchyPowerField."""
+        del p
+        return 0.5 * _det_condition(self.shape)
+
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
         """Draws from f^p / ||f||_p^p, a Gaussian with precision p H."""
         scale = np.linalg.cholesky(np.linalg.inv(p * self.shape))
@@ -294,6 +372,33 @@ class GaussianBump:
     def line_integral(self, p0, e):
         _, a, c_star = self._quadratic_on_line(p0, e)
         return self.amplitude * np.exp(-0.5 * c_star) * np.sqrt(2.0 * math.pi / a)
+
+    def line_moments(self, p0, e, p: float):
+        """(int f dlambda, int f^p |lambda|^(d-1) dlambda) along p0 + lambda e, exactly.
+
+        With Q = a (lambda - lambda*)^2 + c* on the line and alpha = p a / 2,
+        f^p is A^p exp(-p c*/2) times a Gaussian in lambda, so
+          d = 3: A^p exp(-p c*/2) sqrt(pi/alpha) (1/(2 alpha) + lambda*^2),
+          d = 2: A^p (exp(-p Q0/2)/alpha + exp(-p c*/2) |lambda*| sqrt(pi/alpha) erf(sqrt(alpha) |lambda*|)),
+        the second with Q0 = Q(p0) read at p0 (the mean absolute value of a
+        normal variable).
+        """
+        d = self.d
+        if d not in (2, 3):
+            raise ValueError(f"closed-form line moments cover d in {{2, 3}}, got d = {d}")
+        delta = np.asarray(p0, dtype=float) - self.center
+        lam, a, c_star = _line_minimum(self.shape, delta, np.asarray(e, dtype=float))
+        line = self.amplitude * np.exp(-0.5 * c_star) * np.sqrt(2.0 * math.pi / a)
+        alpha = 0.5 * p * a
+        root = np.sqrt(math.pi / alpha)
+        core = self.amplitude**p * np.exp(-0.5 * p * c_star)
+        if d == 3:
+            moment = core * root * (0.5 / alpha + lam * lam)
+        else:
+            lam = np.abs(lam)
+            moment = self.amplitude**p * np.exp(-0.5 * p * _quad_form(self.shape, delta)) / alpha
+            moment += core * lam * root * sf.erf(np.sqrt(alpha) * lam)
+        return line, moment
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,6 +429,12 @@ class BallIndicator:
         d = self.d
         return sphere_area(d) * self.radius**d / d
 
+    def lp_norm_rounding(self, p: float) -> float:
+        """A first-order bound on the relative rounding of lp_power_norm(p), in eps:
+        a relative change of eps in the radius moves R^d by d eps."""
+        del p
+        return float(self.d)
+
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
         """Uniform draws from the ball (f^p is the normalized indicator)."""
         z = rng.standard_normal((n, self.d))
@@ -351,3 +462,21 @@ class BallIndicator:
         _, ee, dist2 = self._distance_on_line(p0, e)
         chord2 = np.clip(self.radius**2 - dist2, 0.0, None)
         return 2.0 * np.sqrt(chord2 / ee)
+
+    def line_moments(self, p0, e, p: float):
+        """(chord length, int_chord |lambda|^(d-1) dlambda) along p0 + lambda e.
+
+        The chord is lambda* +- h with h = sqrt((R^2 - dist^2) / |e|^2); f^p
+        is the indicator itself. A chord that holds lambda = 0 has moment
+        (|l+|^d + |l-|^d) / d; one that does not, (l+ - l-) times the
+        symmetric sum of l+^i l-^(d-1-i), over d, so nothing cancels.
+        """
+        del p
+        d = self.d
+        lam, ee, dist2 = self._distance_on_line(p0, e)
+        half = np.sqrt(np.clip(self.radius**2 - dist2, 0.0, None) / ee)
+        hi, lo = lam + half, lam - half
+        inside = (np.abs(hi) ** d + np.abs(lo) ** d) / d
+        beside = sum(hi**i * lo ** (d - 1 - i) for i in range(d))
+        beside = 2.0 * half * np.abs(beside) / d
+        return 2.0 * half, np.where((lo <= 0.0) & (hi >= 0.0), inside, beside)

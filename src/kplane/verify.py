@@ -345,7 +345,7 @@ def symmetry_suite(seed: int = 0) -> list[CheckResult]:
 
 
 def drury_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
-    """Monte Carlo Drury functional against closed form and its symmetries."""
+    """Monte Carlo Drury functional against closed forms at (1,2) and (1,3) and its symmetries."""
     params = TransformParams(1, 2)
     h = CauchyPowerField.extremizer(params)
     results: list[CheckResult] = []
@@ -361,6 +361,22 @@ def drury_suite(seed: int = 0, n_samples: int = 1_000_000) -> list[CheckResult]:
             z <= 3.0,
             f"value {est.value:.5f} vs 2 pi^3 = {target:.5f}, z = {z:.2f}",
             {"estimates": {"h": est.as_dict()}},
+        )
+    )
+
+    # The same identity at (1,3): ||R h||_4^4 = A(1,3)^4 ||h||_2^4 = pi pi^4.
+    params3 = TransformParams(1, 3)
+    est3 = drury_norm_mc(
+        CauchyPowerField.extremizer(params3), params3, n_samples=n_samples, seed=seed + 5
+    )
+    target3 = math.pi**5
+    z = abs(est3.value - target3) / est3.std_error
+    results.append(
+        CheckResult(
+            "drury-hand-derived-1-3",
+            z <= 3.0,
+            f"value {est3.value:.5f} vs pi^5 = {target3:.5f}, z = {z:.2f}",
+            {"estimates": {"h": est3.as_dict()}},
         )
     )
 

@@ -224,7 +224,7 @@ def test_verify_all_json(capsys, monkeypatch, verify_run):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["all_pass"] is True
-    assert len(payload["checks"]) == 24
+    assert len(payload["checks"]) == 25
     assert all(c["passed"] is True for c in payload["checks"])
     assert all(isinstance(c["data"], dict) for c in payload["checks"])
 
@@ -235,7 +235,12 @@ def test_verify_drury_json_carries_estimates(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     names = [c["name"] for c in payload["checks"]]
-    assert names == ["drury-hand-derived", "drury-s-invariance", "drury-affine-covariance"]
+    assert names == [
+        "drury-hand-derived",
+        "drury-hand-derived-1-3",
+        "drury-s-invariance",
+        "drury-affine-covariance",
+    ]
     for check in payload["checks"]:
         estimates = check["data"]["estimates"]
         assert estimates, check["name"]

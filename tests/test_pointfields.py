@@ -437,6 +437,142 @@ def test_ball_sampler_uniform():
 
 
 # ---------------------------------------------------------------------------
+# Line moments: int f and int f^p |lambda|^(d-1) along a line
+# ---------------------------------------------------------------------------
+
+
+def _quad_pieces(fn, edges, epsabs=0.0):
+    return sum(
+        integrate.quad(fn, a, b, epsabs=epsabs, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+def _moments_by_quad(f, p0, e, p):
+    # adaptive quadrature of f along the line, split at lambda = 0, at the
+    # foot point and 30 widths beyond both
+    d = len(p0)
+    if isinstance(f, BallIndicator):
+        delta = p0 - f.center
+        ee, b = e @ e, delta @ e
+        half = math.sqrt(b * b - ee * (delta @ delta - f.radius**2))
+        lo, hi = (-b - half) / ee, (-b + half) / ee
+        inside = [0.0] if lo < 0.0 < hi else []
+        return hi - lo, _quad_pieces(lambda t: abs(t) ** (d - 1), [lo, *inside, hi])
+    lam, width = f.line_focus(p0, e)
+    cuts = sorted({0.0, float(lam)})
+    edges = [-np.inf, cuts[0] - 30.0 * width, *cuts, cuts[-1] + 30.0 * width, np.inf]
+    line = _quad_pieces(lambda t: float(f.value(p0 + t * e)), edges)
+    moment = _quad_pieces(lambda t: float(f.value(p0 + t * e)) ** p * abs(t) ** (d - 1), edges)
+    return line, moment
+
+
+def _moment_fields(d):
+    rng = RNG(30 + d)
+    P = random_spd(rng, d + 1, 0.5)
+    H = random_spd(rng, d, 0.3)
+    pair = (d + 1) / 2.0
+    return [
+        ("cauchy-pairing", CauchyPowerField(1, P, 1.3), pair),
+        ("cauchy-k2", CauchyPowerField(2, P, 0.8), pair),  # s = 3(d+1)/4
+        ("cauchy-off-pairing", CauchyPowerField(1, P, 1.3), pair + 0.35),
+        ("gaussian-pairing", GaussianBump(rng.standard_normal(d), H, 1.7), pair),
+        ("gaussian-p", GaussianBump(rng.standard_normal(d), H, 1.7), 1.3),
+        ("ball", BallIndicator(rng.standard_normal(d), 1.4), pair),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_line_moments_against_quad(d):
+    # every field class, in both dimensions, on a generic line, a line whose
+    # foot point is p0 (lambda* = 0) and one that runs along the field's axis
+    # from far out, where the incomplete Beta is read from its far side
+    rng = RNG(40 + d)
+    worst = 0.0
+    for name, f, p in _moment_fields(d):
+        center = f.center
+        e = rng.standard_normal(d)
+        H = f.shape if isinstance(f, GaussianBump) else getattr(f, "_A", np.eye(d))
+        perp = rng.standard_normal(d)
+        perp -= (perp @ H @ e) / (e @ H @ e) * e  # H-orthogonal to e: lambda* = 0
+        lines = [
+            (center + rng.standard_normal(d), e),
+            (center + 0.6 * perp, e),
+            (center + 4.0 * e + 0.05 * perp, e),
+        ]
+        for p0, ee in lines:
+            line, moment = f.line_moments(p0, ee, p)
+            ref_line, ref_moment = _moments_by_quad(f, p0, ee, p)
+            for got, ref in ((line, ref_line), (moment, ref_moment)):
+                worst = max(worst, abs(got / ref - 1.0))
+                assert abs(got / ref - 1.0) <= 1e-12, (name, p0, got, ref)
+    print(f"line moments d = {d}: worst relative gap to quad {worst:.2e}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_line_moments_far_line(d):
+    # the line through p0 = -e/2 + w, with w orthogonal to e and every
+    # coordinate exact in binary, passes the center at distance |w| with
+    # lambda* = 1/2, a = |e|^2 ~ 4e18 and c* = 1 + |w|^2, while Q0 = 1 + |p0|^2
+    # ~ 1e18. The moment of the exact restriction a (lambda - 1/2)^2 + c* is
+    # taken by quad in units of the width sqrt(c*/a).
+    w = np.array([0.5, -0.375, 0.25][:d])
+    e = np.array([-1.2e9, -1.6e9, 0.0][:d])
+    p0 = -0.5 * e + w
+    a, c = e @ e, 1.0 + w @ w
+    width = math.sqrt(c / a)
+    t0 = -0.5 / width  # lambda = 0, near -8.5e8
+    decades = [10.0**j for j in range(9)]
+    edges = [-np.inf, 2.0 * t0, t0, 0.5 * t0, *(-x for x in decades[::-1]), *decades, np.inf]
+    for p in ((d + 1) / 2.0, (d + 1) / 2.0 + 0.35):
+        f = CauchyPowerField.extremizer(TransformParams(1, d))
+        s = p
+        line, moment = f.line_moments(p0, e, p)
+        ref = _quad_pieces(
+            lambda t: (c * (t * t + 1.0)) ** -s * abs(0.5 + t * width) ** (d - 1) * width,
+            edges,
+            epsabs=1e-25,  # the moment is near 1e-10; the tails are below 1e-25
+        )
+        assert abs(moment / ref - 1.0) <= 1e-6
+        assert abs(line / (math.pi / math.sqrt(a * c)) - 1.0) <= 1e-6
+    # the Gaussian's quadratic has no constant term: c* = |w|^2 there
+    g = GaussianBump(np.zeros(d), np.eye(d), 1.2)
+    line, moment = g.line_moments(p0, e, 1.5)
+    alpha = 0.75 * a
+    want = 1.2**1.5 * math.exp(-0.75 * (w @ w)) * math.sqrt(math.pi / alpha)
+    want *= (0.5 / alpha + 0.25) if d == 3 else 0.5 * math.erf(0.5 * math.sqrt(alpha))
+    assert abs(moment / want - 1.0) <= 1e-6
+    assert abs(line / (1.2 * math.exp(-0.5 * (w @ w)) * math.sqrt(2.0 * math.pi / a)) - 1.0) <= 1e-6
+    # batched with a near line, the far one keeps its own value
+    near = f.line_moments(np.stack([p0, w]), np.stack([e, e]), 1.0 + 0.5 * d)
+    assert np.all(np.isfinite(near[1])) and np.all(near[1] > 0)
+
+
+def test_ball_line_moments_chords():
+    # a chord through lambda = 0 (p0 inside), one with lambda* = 0 (p0 at the
+    # foot), one beside the origin of lambda, a line that misses and a far chord
+    f = BallIndicator(np.zeros(3), 2.0)
+    e = np.array([0.0, 0.0, 0.5])
+    cases = [
+        (np.array([0.0, 0.0, 1.0]), 8.0, (6.0**3 + 2.0**3) / 3.0),  # lambda in [-6, 2]
+        (np.array([0.0, 1.0, 0.0]), 2.0 * math.sqrt(12.0), 2.0 * math.sqrt(12.0) ** 3 / 3.0),
+        (np.array([0.0, 0.0, 3.0]), 8.0, (10.0**3 - 2.0**3) / 3.0),  # lambda in [-10, -2]
+        (np.array([3.0, 0.0, 0.0]), 0.0, 0.0),
+    ]
+    for p0, want_line, want_moment in cases:
+        line, moment = f.line_moments(p0, e, 2.0)
+        assert abs(line - want_line) <= 1e-14 * max(want_line, 1.0)
+        assert abs(moment - want_moment) <= 1e-14 * max(want_moment, 1.0)
+    # a far chord at height 1/2 beside lambda = 0: lambda = -1e8 +- h, h^2 = 3/4,
+    # and ((1e8 + h)^3 - (1e8 - h)^3) / 3 = 2 h 1e16 + 2 h^3 / 3
+    far = BallIndicator(np.zeros(3), 1.0)
+    h = math.sqrt(0.75)
+    line, moment = far.line_moments(np.array([1e8, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]), 2.0)
+    assert abs(line / (2.0 * h) - 1.0) <= 1e-12
+    assert abs(moment / (2.0 * h * 1e16 + 2.0 * h**3 / 3.0) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # All three fields: draws and batched kernels
 # ---------------------------------------------------------------------------
 

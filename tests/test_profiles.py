@@ -36,6 +36,7 @@ from kplane import (
 )
 from kplane.operators import ExtremizerSpec, extremizer_profile
 from kplane.params import i_integral
+from kplane.profiles import _gauss_legendre, _gl01
 
 
 def h_profile(d, radii=None):
@@ -1154,3 +1155,22 @@ def test_level_table_linear_field_every_triangle_class(grid):
     assert abs(measures[0] - coverage(levels[0])) <= slack
     assert np.all(measures <= coverage(levels / shift) + slack)
     assert np.all(measures >= coverage(levels * shift) - slack)
+
+
+@pytest.mark.parametrize("n", [8, 12, 24, 32, 48])
+def test_gauss_legendre_nodes_round_once(n):
+    # the rule's exact sums, taken in rational arithmetic on the float nodes
+    # and weights: int_0^1 x^j dx = 1/(j+1) to 2e-16 for j <= 8 and for the
+    # x^10 that numpy's 48-node leggauss read 1.8e-14 off
+    from fractions import Fraction
+
+    x, w = _gl01(n)
+    xs, ws = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in w]
+    for j in [*range(9), 10]:
+        total = sum(wi * xi**j for xi, wi in zip(xs, ws))
+        assert abs(float(total * (j + 1) - 1)) <= 2e-16, j
+    # on [-1, 1] the nodes are symmetric and the weights sum to 2
+    xm, wm = _gauss_legendre(n)
+    assert np.array_equal(xm, -xm[::-1]) and np.array_equal(wm, wm[::-1])
+    assert abs(math.fsum(wm) - 2.0) <= 4e-16
+    assert not x.flags.writeable

@@ -40,9 +40,9 @@ def test_all_runs_every_suite_in_order(verify_run, monkeypatch):
     results = run_suite("all", seed=0)
     assert calls == [(name, 0) for name in SUITE_NAMES[1:]]
     names = [r.name for r in results]
-    # 7 rearrange + 3 lorentz + 5 symmetry + 3 drury + 6 flow
-    assert len(names) == 24
-    assert len(set(names)) == 24
+    # 7 rearrange + 3 lorentz + 5 symmetry + 4 drury + 6 flow
+    assert len(names) == 25
+    assert len(set(names)) == 25
     prefixes = [n.split("-")[0] for n in names]
     order = []
     for p in prefixes:
