@@ -306,16 +306,21 @@ def drury_norm_mc(
     estimate is deterministic given (seed, n_samples).
 
     Where the time goes: on the (1,2) and (1,3) extremizers at 1e5 samples
-    (2-core VM, one BLAS thread; 27 and 32 ms a call), about half of a call
-    is sample_p, nearly all of it the SFC64 normal draws that the streams
-    fix (the chi-square(1) mix is a squared normal); line_moments takes
-    about 30%, nearly all of it the foot-point reading of the quadratic,
-    the value call at x0 10%, and the weights and block sums the rest.
+    (2-core VM, one BLAS thread; 13 and 17-19 ms a call), about 60% of a
+    call is sample_p, most of it (45-50% of the call) the SFC64 normal
+    draws that the streams fix (the chi-square(1) mix is a squared normal);
+    line_moments takes 21-24%, most of it the foot-point reading of the
+    quadratic, the value call at x0 6-8%, and the weights and block sums
+    the rest. The draws come coordinate-major, so each kernel step is a
+    flat operation on a contiguous column.
     """
     if params.k != 1 or params.d not in (2, 3):
         raise ValueError("the Monte Carlo route covers k = 1 with d in {2, 3}")
     if f.d != params.d:
         raise ValueError(f"the field lives in d = {f.d}, the transform in d = {params.d}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -332,7 +337,7 @@ def drury_norm_mc(
         rng = _block_stream(seed, blk)
         x0 = f.sample_p(rng, m, p)
         e = f.sample_p(rng, m, p)
-        e -= x0  # the direction of the line through both points
+        e -= x0  # the direction of the line through both points, still column-contiguous
         keep = np.einsum("ij,ij->i", e, e) > 0.0
         if not keep.all():
             x0, e = x0[keep], e[keep]

@@ -11,6 +11,14 @@ Lines and planes are always parametrized affinely, x = p0 + lambda e (plus
 a second direction for planes), and integrals are taken in the lambda
 coordinates. They equal arc-length integrals only when the directions are
 orthonormal; the span-integral oracles rely on exactly this convention.
+
+Points are arrays of shape (..., d), coordinates on the last axis, in any
+memory layout. The kernels read them one coordinate column x[..., i] at a
+time, subtracting the center into a coordinate-major buffer, so that every
+step is a flat operation on a contiguous column rather than a broadcast
+over a short last axis. The samplers form their draws coordinate-major,
+(d, n), and return the (n, d) transpose view, whose columns are contiguous;
+any other layout gives the same values bit for bit, only more slowly.
 """
 
 from __future__ import annotations
@@ -31,9 +39,43 @@ __all__ = [
 ]
 
 
+def _check_p(p: float) -> None:
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and > 0, got {p!r}")
+
+
+def _centred(x, center: np.ndarray) -> np.ndarray:
+    """x - center as a (..., d) view whose coordinate columns are contiguous."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[::-1])
+    np.subtract(x.T, center.reshape(center.shape + (1,) * (x.ndim - 1)), out=out)
+    return out.T
+
+
+def _columns(z: np.ndarray) -> np.ndarray:
+    """A (d, ...) view of a (..., d) array: row i is z[..., i], a scalar for one point."""
+    return z.transpose(-1, *range(z.ndim - 1))
+
+
 def _quad_form(P: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z^T P z over the last axis, for any leading batch shape."""
-    return np.einsum("...i,...i->...", z @ P, z)
+    """z^T P z over the last axis, for any leading batch shape.
+
+    Read column by column as sum_i z_i (P_ii z_i + sum_{j>i} (P_ij + P_ji) z_j),
+    which is z^T P z for any P and never forms P z.
+    """
+    d = len(P)
+    z = _columns(z)
+    for i in range(d):
+        row = z[i] * P[i, i]
+        for j in range(i + 1, d):
+            row += z[j] * (P[i, j] + P[j, i])
+        row *= z[i]
+        if i == 0:
+            q = row
+        else:
+            q += row
+        del row
+    return q
 
 
 def _det_condition(X: np.ndarray) -> float:
@@ -48,15 +90,33 @@ def _line_minimum(H: np.ndarray, delta: np.ndarray, e: np.ndarray):
     c* is read as q at the foot point delta + lambda* e, not as c - b^2/(4a):
     for a line far from the origin of q (|delta| ~ 1e9) that difference
     cancels to noise of either sign, while q at a point is accurate to
-    rounding and never negative.
+    rounding and never negative. Column by column: each (H e)_i is formed,
+    read into a = e . H e and b = delta . H e, and dropped; lambda* = -b/a.
+    delta is overwritten with the foot point when it holds the whole batch.
     """
-    He = e @ H  # H is symmetric, so this is (H e)^T
-    a = np.einsum("...i,...i->...", He, e)
-    lam = -np.einsum("...i,...i->...", delta, He) / a
-    del He  # frees its buffer for the foot point's
-    foot = lam[..., None] * e
-    foot += delta
-    return lam, a, _quad_form(H, foot)
+    d = len(H)
+    e = _columns(np.asarray(e, dtype=float))
+    z = _columns(delta)
+    for i in range(d):
+        He = e[0] * H[i, 0]  # (H e)_i
+        for j in range(1, d):
+            He += e[j] * H[i, j]
+        if i == 0:
+            a = He * e[0]
+            b = He * z[0]
+        else:
+            a += He * e[i]
+            b += He * z[i]
+        del He
+    lam = np.negative(b)
+    lam /= a
+    del b
+    if delta.shape[:-1] != np.shape(lam):  # one point, many directions
+        delta = np.broadcast_to(delta, np.shape(lam) + (d,)).copy()
+    for i in range(d):
+        foot = delta[..., i]  # a view even for one point, where z[i] is a scalar
+        foot += lam * e[i]
+    return lam, a, _quad_form(H, delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +179,7 @@ class CauchyPowerField:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         # [x;1]^T P [x;1] = (x - center)^T A (x - center) + c_min
-        delta = np.asarray(x, dtype=float) - self.center
-        q = _quad_form(self._A, delta)  # type: ignore[attr-defined]
+        q = _quad_form(self._A, _centred(x, self.center))  # type: ignore[attr-defined]
         q += self._c_min  # type: ignore[attr-defined]
         q **= -(self.k + 1) / 2.0
         q *= self.amplitude
@@ -187,8 +246,10 @@ class CauchyPowerField:
         mixture; nu = 1 (a Cauchy) in the exponent-pairing case (k+1)p = d+1.
         There the chi-square(1) mix is drawn as a squared standard normal,
         which has exactly its law and costs about a quarter of numpy's
-        gamma(1/2) rejection sampler; other nu keep rng.chisquare.
+        gamma(1/2) rejection sampler; other nu keep rng.chisquare. The draws
+        are formed coordinate-major and returned as the (n, d) transpose.
         """
+        _check_p(p)
         d = self.d
         nu = (self.k + 1) * p - d
         if nu <= 0:
@@ -196,25 +257,23 @@ class CauchyPowerField:
         scale = np.linalg.cholesky(
             (self._c_min / nu) * np.linalg.inv(self._A)  # type: ignore[attr-defined]
         )
-        z = rng.standard_normal((n, d))
+        x = scale @ rng.standard_normal((n, d)).T
         if nu == 1:
             mix = rng.standard_normal(n)
             np.square(mix, out=mix)
         else:
             mix = rng.chisquare(nu, n)
-        x = z @ scale.T
         np.divide(nu, mix, out=mix)
-        x *= np.sqrt(mix, out=mix)[:, None]
-        x += self.center
-        return x
+        x *= np.sqrt(mix, out=mix)
+        x += self.center[:, None]
+        return x.T
 
     # Line and plane geometry ----------------------------------------------
 
     def _quadratic_on_line(self, p0, e):
         # [x;1]^T P [x;1] = (x - center)^T A (x - center) + c_min
         A = self._A  # type: ignore[attr-defined]
-        delta = np.asarray(p0, dtype=float) - self.center
-        lam, a, c_star = _line_minimum(A, delta, np.asarray(e, dtype=float))
+        lam, a, c_star = _line_minimum(A, _centred(p0, self.center), e)
         c_star += self._c_min  # type: ignore[attr-defined]
         return lam, a, c_star
 
@@ -252,18 +311,18 @@ class CauchyPowerField:
             raise ValueError(f"closed-form line moments cover d in {{2, 3}} with s > d/2, "
                              f"got d = {d}, s = {s}")
         A = self._A  # type: ignore[attr-defined]
-        delta = np.asarray(p0, dtype=float) - self.center
-        lam, a, c_star = _line_minimum(A, delta, np.asarray(e, dtype=float))
+        delta = _centred(p0, self.center)
+        if d == 2 or s == 2.0:  # Q0, read before delta becomes the foot point
+            moment = _quad_form(A, delta)
+            moment += self._c_min  # type: ignore[attr-defined]
+        lam, a, c_star = _line_minimum(A, delta, e)
+        del delta
         c_star += self._c_min  # type: ignore[attr-defined]
         line = self.amplitude * sf.beta(0.5, k / 2.0) / np.sqrt(a * c_star**k)
         scale = self.amplitude**p
         if d == 3 and s != 2.0:
             moment = c_star / (2.0 * s - 3.0)
             moment += a * lam * lam
-        else:
-            moment = _quad_form(A, delta)
-            moment += self._c_min  # type: ignore[attr-defined]
-        del delta
         if d == 3:
             moment /= a * np.sqrt(a) * c_star * c_star ** (s - 1.5)  # s = 2: a sqrt
             moment *= scale * sf.beta(0.5, s - 0.5)
@@ -292,7 +351,7 @@ class CauchyPowerField:
         """
         A = self._A  # type: ignore[attr-defined]
         E = np.stack([np.asarray(e1, dtype=float), np.asarray(e2, dtype=float)], axis=-1)
-        delta = np.asarray(p0, dtype=float) - self.center
+        delta = _centred(p0, self.center)
         AE = A @ E
         G = np.swapaxes(E, -1, -2) @ AE
         beta = np.einsum("...ij,...i->...j", AE, delta)
@@ -340,8 +399,7 @@ class GaussianBump:
         return math.inf
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        delta = np.asarray(x, dtype=float) - self.center
-        return self.amplitude * np.exp(-0.5 * _quad_form(self.shape, delta))
+        return self.amplitude * np.exp(-0.5 * _quad_form(self.shape, _centred(x, self.center)))
 
     def lp_power_norm(self, p: float) -> float:
         d = self.d
@@ -355,15 +413,18 @@ class GaussianBump:
         return 0.5 * _det_condition(self.shape)
 
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-        """Draws from f^p / ||f||_p^p, a Gaussian with precision p H."""
+        """Draws from f^p / ||f||_p^p, a Gaussian with precision p H.
+
+        Formed coordinate-major and returned as the (n, d) transpose.
+        """
+        _check_p(p)
         scale = np.linalg.cholesky(np.linalg.inv(p * self.shape))
-        x = rng.standard_normal((n, self.d)) @ scale.T
-        x += self.center
-        return x
+        x = scale @ rng.standard_normal((n, self.d)).T
+        x += self.center[:, None]
+        return x.T
 
     def _quadratic_on_line(self, p0, e):
-        delta = np.asarray(p0, dtype=float) - self.center
-        return _line_minimum(self.shape, delta, np.asarray(e, dtype=float))
+        return _line_minimum(self.shape, _centred(p0, self.center), e)
 
     def line_focus(self, p0, e):
         lam, a, _ = self._quadratic_on_line(p0, e)
@@ -386,8 +447,11 @@ class GaussianBump:
         d = self.d
         if d not in (2, 3):
             raise ValueError(f"closed-form line moments cover d in {{2, 3}}, got d = {d}")
-        delta = np.asarray(p0, dtype=float) - self.center
-        lam, a, c_star = _line_minimum(self.shape, delta, np.asarray(e, dtype=float))
+        delta = _centred(p0, self.center)
+        if d == 2:  # Q0, read before delta becomes the foot point
+            q0 = _quad_form(self.shape, delta)
+        lam, a, c_star = _line_minimum(self.shape, delta, e)
+        del delta
         line = self.amplitude * np.exp(-0.5 * c_star) * np.sqrt(2.0 * math.pi / a)
         alpha = 0.5 * p * a
         root = np.sqrt(math.pi / alpha)
@@ -396,7 +460,7 @@ class GaussianBump:
             moment = core * root * (0.5 / alpha + lam * lam)
         else:
             lam = np.abs(lam)
-            moment = self.amplitude**p * np.exp(-0.5 * p * _quad_form(self.shape, delta)) / alpha
+            moment = self.amplitude**p * np.exp(-0.5 * p * q0) / alpha
             moment += core * lam * root * sf.erf(np.sqrt(alpha) * lam)
         return line, moment
 
@@ -421,8 +485,7 @@ class BallIndicator:
         return len(self.center)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        delta = np.asarray(x, dtype=float) - self.center
-        inside = np.einsum("...i,...i->...", delta, delta) <= self.radius**2
+        inside = _quad_form(np.eye(self.d), _centred(x, self.center)) <= self.radius**2
         return inside.astype(float)
 
     def lp_power_norm(self, p: float) -> float:
@@ -436,19 +499,22 @@ class BallIndicator:
         return float(self.d)
 
     def sample_p(self, rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-        """Uniform draws from the ball (f^p is the normalized indicator)."""
-        z = rng.standard_normal((n, self.d))
-        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        """Uniform draws from the ball (f^p is the normalized indicator).
+
+        Formed coordinate-major and returned as the (n, d) transpose.
+        """
+        _check_p(p)
+        z = rng.standard_normal((n, self.d)).T.copy()
+        z /= np.linalg.norm(z, axis=0)
         r = rng.random(n)
         r **= 1.0 / self.d
         r *= self.radius
-        z *= r[:, None]
-        z += self.center
-        return z
+        z *= r
+        z += self.center[:, None]
+        return z.T
 
     def _distance_on_line(self, p0, e):
-        delta = np.asarray(p0, dtype=float) - self.center
-        return _line_minimum(np.eye(self.d), delta, np.asarray(e, dtype=float))
+        return _line_minimum(np.eye(self.d), _centred(p0, self.center), e)
 
     def line_focus(self, p0, e):
         lam, ee, _ = self._distance_on_line(p0, e)

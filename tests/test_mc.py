@@ -269,6 +269,23 @@ def test_drury_rejects_bad_seeds(seed):
         drury_norm_mc(f, TransformParams(1, 2), n_samples=1000, seed=seed)
 
 
+@pytest.mark.parametrize("n_samples", [1e5, 100000.5, 1000.0, "100", True, None])
+def test_drury_rejects_bad_sample_counts(n_samples):
+    # a float count used to raise a bare TypeError from range, and a string
+    # one from the comparison with 2
+    f = CauchyPowerField.extremizer(TransformParams(1, 2))
+    with pytest.raises(ValueError, match="n_samples"):
+        drury_norm_mc(f, TransformParams(1, 2), n_samples=n_samples, seed=0)
+
+
+def test_drury_takes_numpy_integer_sample_counts():
+    pr = TransformParams(1, 2)
+    f = CauchyPowerField.extremizer(pr)
+    a = drury_norm_mc(f, pr, n_samples=np.int32(1000), seed=3)
+    b = drury_norm_mc(f, pr, n_samples=1000, seed=3)
+    assert a == b and type(a.n_samples) is int
+
+
 def test_drury_takes_numpy_integer_seeds():
     pr = TransformParams(1, 2)
     f = CauchyPowerField.extremizer(pr)
@@ -300,8 +317,8 @@ def _translate_s_image():
     [
         ("h", 2, 42, 62.012553360599604, 2.2415209192984988e-13),
         # the far-sample seed of test_drury_on_cauchy_extremizer_far_samples_stay_finite
-        ("h", 3, 53, 306.0196847852813, 1.1206605061304543e-12),
-        ("translate-S", 2, 7, 62.01255336059959, 2.2767235382856404e-13),
+        ("h", 3, 53, 306.0196847852813, 1.120660506222628e-12),
+        ("translate-S", 2, 7, 62.01255336059959, 2.2767235382870086e-13),
     ],
     ids=["h-2-42", "h-3-53", "translate-S-2-7"],
 )

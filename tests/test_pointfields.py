@@ -625,6 +625,30 @@ def test_sample_p_draws_are_bit_identical(field, p, reference):
     assert np.array_equal(got, reference(field, RNG(17), 4099, p))
 
 
+def _three_fields():
+    return [
+        CauchyPowerField(1, random_spd(RNG(18), 4, 0.5)),
+        GaussianBump(np.array([0.3, -0.2, 0.8]), random_spd(RNG(19), 3, 0.4), 1.7),
+        BallIndicator(np.array([0.2, 0.1, -0.3]), 1.6),
+    ]
+
+
+@pytest.mark.parametrize("field", _three_fields(), ids=["cauchy", "gaussian", "ball"])
+def test_sample_p_columns_are_contiguous(field):
+    # the draws are formed coordinate-major, so the kernels read flat columns
+    x = field.sample_p(RNG(22), 1000, 2.0)
+    assert x.shape == (1000, 3)
+    assert all(x[:, i].flags.c_contiguous for i in range(3))
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+@pytest.mark.parametrize("field", _three_fields(), ids=["cauchy", "gaussian", "ball"])
+def test_sample_p_rejects_bad_p(field, p):
+    # NaN used to come back as NaN draws and a Gaussian's p = 0 as a LinAlgError
+    with pytest.raises(ValueError, match="p must be finite and > 0"):
+        field.sample_p(RNG(23), 10, p)
+
+
 def _per_point(fn, *args):
     # fn on each point of the (4, 6) leading axes, stacked back
     lead = args[0].shape[:2]
@@ -634,24 +658,22 @@ def _per_point(fn, *args):
     return np.reshape(np.stack(outs), lead)
 
 
-@pytest.mark.parametrize(
-    "field",
-    [
-        CauchyPowerField(1, random_spd(RNG(18), 4, 0.5)),
-        GaussianBump(np.array([0.3, -0.2, 0.8]), random_spd(RNG(19), 3, 0.4), 1.7),
-        BallIndicator(np.array([0.2, 0.1, -0.3]), 1.6),
-    ],
-    ids=["cauchy", "gaussian", "ball"],
-)
+@pytest.mark.parametrize("field", _three_fields(), ids=["cauchy", "gaussian", "ball"])
 def test_kernels_on_two_leading_axes_match_per_point(field):
     # the shapes of _line_rule's nodes and of node batches: every kernel
-    # reads a (4, 6, d) batch as it reads each point, to 4 ulps
+    # reads a (4, 6, d) batch as it reads each point, to 4 ulps, and reads
+    # an F-ordered copy of the batch, or of an (n, d) block, bit for bit
     rng = RNG(20)
     x, p0, e1, e2 = (rng.standard_normal((4, 6, 3)) for _ in range(4))
+
+    def line_moments(p0, e):
+        return field.line_moments(p0, e, 2.0)
+
     calls = [
         (field.value, (x,)),
         (field.line_focus, (p0, e1)),
         (field.line_integral, (p0, e1)),
+        (line_moments, (p0, e1)),
     ]
     if hasattr(field, "plane_focus"):
         calls.append((field.plane_focus, (p0, e1, e2)))
@@ -661,3 +683,14 @@ def test_kernels_on_two_leading_axes_match_per_point(field):
             assert g.shape == r.shape, fn.__name__
             err = np.abs(g - r)
             assert np.all(err <= 4 * np.finfo(float).eps * np.abs(r)), (fn.__name__, err.max())
+        # one point against many directions reads as the point repeated
+        one = fn(args[0][0, 0], *args[1:]) if len(args) > 1 else None
+        for batch in (args, tuple(a.reshape(24, 3) for a in args)):
+            c_ordered = fn(*batch)
+            f_ordered = fn(*(np.asfortranarray(a) for a in batch))
+            for c, f in zip(*(v if isinstance(v, tuple) else (v,) for v in (c_ordered, f_ordered))):
+                assert np.array_equal(c, f), fn.__name__
+        if one is not None:
+            repeated = fn(np.broadcast_to(args[0][0, 0], args[0].shape).copy(), *args[1:])
+            for o, r in zip(*(v if isinstance(v, tuple) else (v,) for v in (one, repeated))):
+                assert np.array_equal(o, r), fn.__name__
