@@ -29,8 +29,6 @@ from scipy.special import logsumexp
 from .errors import TailDivergenceError
 from .params import TransformParams, sphere_area
 from .profiles import (
-    _GL12_W,
-    _GL12_X,
     AxiSymField,
     RadialProfile,
     _gl01,
@@ -119,7 +117,8 @@ _SERIES_LOWEST = -28
 # terms (the terms fall as ((A - 1)/2)^n, 4^-30 ~ 1e-18)
 _NEAR_ONE = 0.5
 _NEAR_TERMS = 30
-# Gauss rules beyond profiles' GL12 (moments of whole pieces)
+# Gauss rules on [0, 1]
+_GL12_X, _GL12_W = _gl01(12)  # moments of whole pieces
 _GL8_X, _GL8_W = _gl01(8)  # crossed pieces and the band below the split
 _GL32_X, _GL32_W = _gl01(32)  # head and tail below the split
 _GL48_X, _GL48_W = _gl01(48)  # the peak kernel at its fit nodes

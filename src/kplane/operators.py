@@ -184,20 +184,49 @@ def _nonnegative_lags(a: np.ndarray, row: np.ndarray) -> np.ndarray:
     return out
 
 
+# terms of the tail series at y <= _TAIL_SERIES_Y: for k odd |C((k-2)/2, n)|
+# <= 3/2, so the n-th term is at most 3/2 64^-n of the first, and the sum,
+# a mean of (1 - y t)^((k-2)/2) over t in [0, 1], is at least (63/64)^(3/2)
+# of it. Past r_max/8 betainc costs less than the terms that the series
+# would need there.
+_TAIL_SERIES_Y = 1.0 / 64.0
+_TAIL_TERMS = 10
+
+
 def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -> np.ndarray:
     """Contribution of the power tail beyond radii[-1] to T at each output radius.
 
     The s-integral over the tail region is r_max^gamma r^{k-gamma} times
-    (1/2) B(k/2, (gamma-k)/2) I_y((gamma-k)/2, k/2) with y = (r/r_max)^2,
-    using the complement-argument form of the regularized Beta so that small
-    r/r_max does not cancel against 1.
+    (1/2) B(k/2, (gamma-k)/2) I_y((gamma-k)/2, k/2) with y = (r/r_max)^2. For
+    y <= 1/64 that is the incomplete-Beta series (DLMF 8.17.7, term by term)
+
+        (r_max^k / 2) sum_n C((k-2)/2, n) (-y)^n / ((gamma-k)/2 + n),
+
+    read by Horner in _TAIL_TERMS terms; for even k it ends after k/2. Nodes
+    with r > r_max/8, and out_radii beyond the grid (y clipped to 1), read
+    the closed form by scipy's betainc.
     """
     r_max = radii[-1]
+    a, b = (gamma - k) / 2.0, k / 2.0
     y = np.clip((out_r / r_max) ** 2, 0.0, 1.0)
-    half_beta = 0.5 * sf.beta(k / 2.0, (gamma - k) / 2.0)
-    return r_max**gamma * out_r ** (k - gamma) * half_beta * sf.betainc(
-        (gamma - k) / 2.0, k / 2.0, y
-    )
+    series = y <= _TAIL_SERIES_Y
+    out = np.empty_like(y)
+    n = np.arange(k // 2 if k % 2 == 0 else _TAIL_TERMS)
+    # C(b - 1, n) / (a + n), the binomials by their ratio (b - n) / n
+    coef = np.cumprod(np.concatenate([[1.0], (b - n[1:]) / n[1:]])) / (a + n)
+    ys = -y[series]
+    acc = np.full_like(ys, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= ys
+        acc += c
+    out[series] = 0.5 * r_max**k * acc
+    rest = ~series
+    if np.any(rest):
+        half_beta = 0.5 * sf.beta(b, a)
+        out[rest] = r_max**gamma * out_r[rest] ** (k - gamma) * half_beta * sf.betainc(
+            a, b, y[rest]
+        )
+    return out
 
 
 def t_transform(
@@ -208,7 +237,9 @@ def t_transform(
     Returns the profile of T f on f's own grid, or on out_radii when given.
     On a geometric grid T f is the non-negative lags of the correlation of f
     with a cached kernel row, computed in blocks of outputs; any other grid,
-    and out_radii, take one row of weights per output radius.
+    and out_radii, take one row of weights per output radius. The power
+    tail beyond the last node adds its incomplete-Beta term by its series
+    below r_max/8 and by betainc above (see _t_tail_vector).
     Memory is O(n) either way. The output decays like r^-(tail_exponent - k),
     which must be a positive exponent or the line integral itself diverges.
     """

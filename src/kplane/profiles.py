@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,7 +93,6 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_legendre(n, 0.0, 1.0)
 
 
-_GL12_X, _GL12_W = _gl01(12)
 _GL24_X, _GL24_W = _gl01(24)
 _GL2_X, _GL2_W = _gl01(2)
 
@@ -263,34 +263,163 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"p must be positive and finite, got {p}")
 
 
-def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
-    """Sum over pieces of int |v|^p e^(m u) du, GL12 per piece.
+# Power sums int |v|^p e^(m u) du over pieces on which v is linear in u. The
+# n-node Gauss-Legendre rule on [-1, 1] misses an integrand analytic inside
+# the Bernstein ellipse of radius rho by O(rho^-2n) (Trefethen, "Is Gauss
+# quadrature better than Clenshaw-Curtis?", 2008), and misses e^(c x) by
+# kappa_n c^2n, kappa_n = 2^(2n+1) n!^4 / ((2n+1) (2n)!^3). A piece has two
+# such scales: the zero of v, a relative distance delta beyond the piece's
+# nearer end, whose ellipse has log rho = arccosh(1 + 2 delta); and the rate
+# c = m du / 2 of e^(m u). n nodes read a piece when both bounds sit below
+# e^-_LOG_EPS of its scale. Pieces that _GL_MAX nodes cannot read are cut
+# into panels that they can.
+_GL_MAX = 12
+_LOG_EPS = 39.0
 
-    Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
-    The exponent p log|v| + m u of every (node, piece) pair is built in
-    place in one (12, pieces) array, beside one more for m u, then read by
-    one exp; a node with v = 0 gives 0. The weights and the widths reduce it
-    as _GL12_W @ ... @ du.
+
+def _log_gauss_constant(n: int) -> float:
+    """log kappa_n: the n-node rule on [-1, 1] misses f by kappa_n f^(2n)(xi)."""
+    return (
+        (2 * n + 1) * math.log(2.0) + 4 * math.lgamma(n + 1)
+        - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
+    )
+
+
+# for n = 1 .. _GL_MAX nodes: the largest 1/delta and the largest c they read
+_ZERO_REACH = tuple(2.0 / (math.cosh(_LOG_EPS / (2 * n)) - 1.0) for n in range(1, _GL_MAX + 1))
+_RATE_REACH = tuple(
+    math.exp(-(_LOG_EPS + _log_gauss_constant(n)) / (2 * n)) for n in range(1, _GL_MAX + 1)
+)
+
+
+def _gl_order(inv_delta: float, rate: float, extra: int = 0) -> int:
+    """Fewest nodes that read pieces with 1/delta <= inv_delta and c <= rate.
+
+    extra nodes go to a polynomial factor of degree <= 2 extra, whose
+    derivatives take that many orders off the rate bound. The caller has
+    cut its pieces so that _GL_MAX nodes reach them.
     """
-    du = ub - ua
-    e = np.multiply.outer(_GL12_X, vb - va)
-    e += va
-    np.abs(e, out=e)
+    for n in range(extra + 1, _GL_MAX + 1):
+        if inv_delta <= _ZERO_REACH[n - 1] and rate <= _RATE_REACH[n - 1 - extra]:
+            return n
+    raise ValueError(f"no Gauss rule up to {_GL_MAX} nodes reads 1/delta={inv_delta}, c={rate}")
+
+
+# for n = 1 .. _GL_MAX: (1 - x, x) at the n Gauss nodes x on [0, 1] as an
+# (n, 2) array, and the weights; 1 - x is the mirrored node, rounded once
+_GL_ENDS = tuple(
+    (np.stack([x[::-1], x], axis=1), w) for x, w in map(_gl01, range(1, _GL_MAX + 1))
+)
+
+
+def _gauss_power_sum(n: int, u: np.ndarray, v: np.ndarray, p: float, m: int, width) -> float:
+    """Sum over panels of width_i int_0^1 v_i(x)^p e^(m u_i(x)) dx, n nodes each.
+
+    u and v are (2, panels) end values, both linear in x between them, with
+    v >= 0, so that no node value cancels. Each node's exponent
+    p log v + m u comes from two (n, 2) @ (2, panels) products and one log;
+    one exp reads it, and a node with v = 0 gives 0.
+    """
+    ends, w = _GL_ENDS[n - 1]
+    e = ends @ v
     with np.errstate(divide="ignore"):
         np.log(e, out=e)
     e *= p
-    mu = np.multiply.outer(_GL12_X, du)
-    mu += ua
-    mu *= m
-    e += mu
+    e += (m * ends) @ u
     np.exp(e, out=e)
-    return float(_GL12_W @ e @ du)
+    return float(w @ e @ width)
+
+
+def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
+    """Sum over pieces of int |v|^p e^(m u) du, each at the order it needs.
+
+    Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
+    A piece on which v changes sign is cut at its zero, placed in the piece's
+    own coordinate, into two whose zero is an end. Every piece that _GL_MAX
+    nodes reach is then read by one rule: the fewest nodes (see _gl_order)
+    for the nearest zero and the widest piece among them. Only non-integer p
+    has a zero to reach: for integer p, |v|^p on a single-signed piece is a
+    polynomial of degree p, which ceil(p/2) more nodes read. The rest share
+    one set of panels in their own coordinate, from the end nearer the zero:
+    k equal ones, no wider than _GL_MAX nodes reach, the first of them
+    halved toward that end (so each panel's zero lies at least its width
+    beyond it) until what is left is below e^-_LOG_EPS of the piece. They
+    are read in one more array, at the order their worst needs.
+    """
+    integer = float(p).is_integer() and p <= _GL_MAX
+    extra = math.ceil(p / 2) if integer else 0
+    widest = 2.0 * _RATE_REACH[_GL_MAX - 1 - extra] / m
+    u = np.array([ua, ub])
+    v = np.abs(np.array([va, vb]))
+    width = ub - ua
+    cross = va * vb < 0
+    if cross.any():
+        to_zero = va[cross] / (va[cross] - vb[cross])
+        from_zero = vb[cross] / (vb[cross] - va[cross])
+        uz = ua[cross] + width[cross] * to_zero
+        zeros = np.zeros_like(uz)
+        keep = ~cross
+        u = np.concatenate([u[:, keep], [ua[cross], uz], [uz, ub[cross]]], axis=1)
+        v = np.concatenate([v[:, keep], [v[0, cross], zeros], [zeros, v[1, cross]]], axis=1)
+        width = np.concatenate([width[keep], width[cross] * to_zero, width[cross] * from_zero])
+    if integer:
+        inv = np.zeros_like(width)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 1/delta: 0 on a constant piece, inf with a zero at an end, NaN on v = 0
+            inv = np.abs(v[1] - v[0]) / np.minimum(v[0], v[1])
+
+    def order(where=True):
+        return _gl_order(
+            float(np.fmax.reduce(inv, where=where, initial=0.0)),
+            float(width.max(where=where, initial=0.0)) * m / 2,
+            extra,
+        )
+
+    far = (inv > _ZERO_REACH[-1]) | (width > widest)
+    if not far.any():
+        return _gauss_power_sum(order(), u, v, p, m, width)
+    # the pieces within reach, the others at weight 0
+    near = ~far
+    total = _gauss_power_sum(order(near), u, v, p, m, np.where(near, width, 0.0))
+    u, v, width, inv = u[:, far], v[:, far], width[far], inv[far]
+    # s = 0 at each piece's end nearer its zero, s = 1 at the other; the
+    # halvings stop once the nearest zero is a panel's width away, or once
+    # what is left is below e^-_LOG_EPS of the piece (over the first panel,
+    # e^(m u) moves by at most e^(m widest))
+    flip = v[1] < v[0]
+    u0, u1 = np.where(flip, u[::-1], u)
+    v0, v1 = np.where(flip, v[::-1], v)
+    k = max(math.ceil(float(width.max()) / widest), 1)
+    inv_max = float(np.fmax.reduce(inv, initial=0.0))
+    halvings = 0
+    if inv_max > _ZERO_REACH[-1]:
+        halvings = math.ceil(min(
+            math.log2(max(inv_max / k, 1.0)),
+            (_LOG_EPS + m * widest) / ((p + 1.0) * math.log(2.0)) + 1.0,
+        ))
+    s = np.concatenate([[0.0], np.ldexp(1.0 / k, np.arange(-halvings, 0)), np.arange(1, k + 1) / k])
+    pu = np.multiply.outer(s, u1 - u0)
+    pu += u0
+    pv = np.multiply.outer(1.0 - s, v0)
+    pv += np.multiply.outer(s, v1)
+    pu = np.array([pu[:-1].ravel(), pu[1:].ravel()])
+    pv = np.array([pv[:-1].ravel(), pv[1:].ravel()])
+    pwidth = np.multiply.outer(np.diff(s), width).ravel()
+    # after halvings a panel's zero lies at least its width away
+    n = _gl_order(
+        1.0 if halvings else inv_max / k,
+        min(float(pwidth.max()) * m / 2, _RATE_REACH[_GL_MAX - 1 - extra]),
+        extra,
+    )
+    return total + _gauss_power_sum(n, pu, pv, p, m, pwidth)
 
 
 def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) -> float:
-    """int f^p dmeasure for the canonical interpretation, GL12 per piece.
+    """int f^p dmeasure for the canonical interpretation.
 
-    Head and tail are closed form; the tail needs tail_exponent * p > m.
+    The pieces are read by _pieces_power_sum; head and tail are closed form,
+    and the tail needs tail_exponent * p > m.
     """
     m = measure.weight_exponent
     u = f.log_radii
@@ -306,6 +435,68 @@ def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) ->
             )
         total += v[-1] ** p * f.radii[-1] ** m / (g * p - m)
     return measure.prefactor * total
+
+
+def _unmatched_tail_power(
+    af: float, tf: float, ag: float, tg: float, p: float, m: int, r_max: float
+) -> float:
+    """int_{r_max}^inf |af (r_max/r)^tf - ag (r_max/r)^tg|^p r^(m-1) dr for tf != tg.
+
+    af, ag > 0 and p min(tf, tg) > m. With tf > tg after a swap, D = tf - tg
+    and lam = p tg - m, the integrand in w = log(r / r_max) is
+
+        r_max^m ag^p e^(-lam w) |expm1(-D s)|^p,  s = w - w*,
+
+    where w* = log(af / ag) / D is the crossing r* = r_max (af/ag)^(1/D).
+    Panels run from w = 0 to w_end, where e^(-D s) = 1/4 or e^(-lam w) is
+    below e^(-2 _LOG_EPS), whichever comes first. They are a uniform cut, of
+    width h at most, that keeps the rate lam + p D within _GL_MAX nodes'
+    reach and each panel within 1/D of the integrand's complex zeros, 2 pi
+    / D off the axis. When the crossing lies within h of [0, w_end], the
+    panels are also halved toward it from either side, as in
+    _pieces_power_sum, and the nodes are placed by their offset s, so that
+    expm1 keeps its digits next to it; otherwise they are placed by w. All
+    panels are read in one array, at the order their worst needs. Past
+    e^(-D s) = 1/4, (1 - e^(-D s))^p is summed by its binomial series, term
+    by term in closed form.
+    """
+    if tf < tg:
+        af, tf, ag, tg = ag, tg, af, tf
+    # lam rounded once: p tg - m in floats cancels when the tail nearly diverges
+    gap, lam = tf - tg, float(Fraction(p) * Fraction(tg) - m)
+    w_star = math.log(af / ag) / gap
+    quarter = math.log(4.0) / gap  # s where e^(-D s) = 1/4
+    series_from = max(0.0, w_star + quarter)
+    w_end = min(series_from, 2.0 * _LOG_EPS / lam)
+    rate = lam + p * gap
+    h = min(2.0 * _RATE_REACH[-1] / rate, 1.0 / gap)
+    # node coordinates z = w - origin, from the crossing when it lies within
+    # a panel's width of [0, w_end]
+    near = -h < w_star < w_end + h
+    origin = w_star if near else 0.0
+    total = 0.0
+    if w_end > 0.0:
+        start, end = -origin, w_end - origin
+        cuts = [np.linspace(start, end, math.ceil((end - start) / h) + 1)]
+        if near:
+            halvings = math.ceil((_LOG_EPS + rate * h) / ((p + 1.0) * math.log(2.0))) + 1
+            steps = h * np.ldexp(1.0, -np.arange(halvings + 1))
+            cuts += [-steps, [0.0], steps]
+        at = np.unique(np.concatenate(cuts))
+        at = at[(at >= start) & (at <= end)]
+        za, width = at[:-1], np.diff(at)
+        x, w = _gl01(_gl_order(1.0, rate * float(width.max()) / 2))
+        z = np.multiply.outer(x, width) + za
+        with np.errstate(divide="ignore"):
+            e = p * np.log(np.abs(np.expm1(-gap * (z + (origin - w_star))))) - lam * (z + origin)
+        total = float(w @ np.exp(e) @ width)
+    if w_end == series_from:
+        j = np.arange(2 * math.ceil(_LOG_EPS / math.log(4.0)))
+        # C(p, j) (-1)^j, by the ratio (j - 1 - p) / j
+        binom = np.cumprod(np.concatenate([[1.0], (j[1:] - 1.0 - p) / j[1:]]))
+        s_end = quarter if w_end > 0.0 else -w_star
+        total += float(np.sum(binom * np.exp(-lam * w_end - j * gap * s_end) / (lam + j * gap)))
+    return r_max**m * ag**p * total
 
 
 # node evaluations of (piece, level) crossing pairs per batch; more are swept
@@ -1048,7 +1239,10 @@ def _distribution_reading(
 def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) -> float:
     """L^p norm of a profile or field against the given measure.
 
-    Profiles integrate their canonical interpretation piece by piece. Fields
+    Profiles integrate their canonical interpretation piece by piece, each
+    piece by the fewest Gauss-Legendre nodes that its zero and its rate
+    allow at rounding, on panels graded toward the zero where one rule of 12
+    nodes falls short (see _pieces_power_sum). Fields
     (Lebesgue measure only) integrate their evaluator with the 2x2 Gauss rule
     per cell, or sum value^p times cell measure without one, plus the exterior
     tail model. Raises TailDivergenceError when the declared tail makes the
@@ -1369,12 +1563,12 @@ def lp_distance(
 ) -> float:
     """||f - g||_p for two profiles, exact for the PL interpretation.
 
-    Node sets are merged, sign changes of the difference are split into their
-    own pieces (so each GL panel integrates a single-signed linear function),
-    and the far tails are handled in closed form when the exponents match,
-    by geometric panels otherwise. Profiles on equal radii, as along the
-    flow, skip the merge: their radii, log radii and values are the merged
-    grid and its values bit for bit.
+    Node sets are merged, and the pieces of the difference are read by
+    _pieces_power_sum, which cuts each at its sign change. The far tails are
+    closed form when the exponents match; otherwise _unmatched_tail_power
+    splits them where the two power laws cross. Profiles on equal radii, as
+    along the flow, skip the merge: their radii, log radii and values are
+    the merged grid and its values bit for bit.
     """
     _check_exponent(p)
     m = measure.weight_exponent
@@ -1386,16 +1580,7 @@ def lp_distance(
         vf = np.asarray(f.evaluate(r_all), dtype=float)
         vg = np.asarray(g.evaluate(r_all), dtype=float)
     diff = vf - vg
-    ua, ub = u[:-1], u[1:]
-    va, vb = diff[:-1], diff[1:]
-    cross = va * vb < 0
-    if np.any(cross):
-        ustar = ua[cross] + (ub - ua)[cross] * va[cross] / (va[cross] - vb[cross])
-        ua = np.concatenate([ua[~cross], ua[cross], ustar])
-        ub = np.concatenate([ub[~cross], ustar, ub[cross]])
-        va = np.concatenate([va[~cross], va[cross], np.zeros(cross.sum())])
-        vb = np.concatenate([vb[~cross], np.zeros(cross.sum()), vb[cross]])
-    total = _pieces_power_sum(ua, ub, va, vb, p, m)
+    total = _pieces_power_sum(u[:-1], u[1:], diff[:-1], diff[1:], p, m)
     total += abs(vf[0] - vg[0]) ** p * r_all[0] ** m / m
     r_max = r_all[-1]
     tf, tg = f.tail_exponent, g.tail_exponent
@@ -1414,15 +1599,5 @@ def lp_distance(
                 raise TailDivergenceError(
                     f"||f - g||_p tail diverges: exponents ({tf}, {tg}), p={p}, weight {m}"
                 )
-            u0 = math.log(r_max)
-            for j in range(80):
-                lo = u0 + j * math.log(2.0)
-                hi = lo + math.log(2.0)
-                uu = lo + (hi - lo) * _GL12_X
-                rr = np.exp(uu)
-                dd = af * (r_max / rr) ** tf - ag * (r_max / rr) ** tg
-                piece = float(np.sum(_GL12_W * (hi - lo) * np.abs(dd) ** p * np.exp(m * uu)))
-                total += piece
-                if piece < 1e-16 * max(total, 1e-300):
-                    break
+            total += _unmatched_tail_power(af, tf, ag, tg, p, m, r_max)
     return (measure.prefactor * total) ** (1.0 / p)

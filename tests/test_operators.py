@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -212,6 +213,30 @@ def test_t_transform_memory_is_linear_in_the_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_t_tail_vector_against_the_incomplete_beta(k):
+    # the tail's series below r_max/8 and betainc above it and beyond the
+    # grid both read (1/2) r_max^gamma r^(k-gamma) B_y((gamma-k)/2, k/2),
+    # y = min(r/r_max, 1)^2; every 128th grid node, the nodes on either side
+    # of r_max/8 and below r_max, and out_radii up to 2 r_max are checked
+    # against 30-digit mpmath
+    from kplane.operators import _t_tail_vector
+
+    r = default_radial_grid(2048)
+    out = np.linspace(r[-1], 2.0 * r[-1], 4)
+    checked = np.concatenate([np.arange(0, 2048, 128), [1814, 1815, 1816, 1817], np.arange(2040, 2048)])
+    for gamma in (k + 0.05, k + 1.0, k + 6.0):
+        on_grid = _t_tail_vector(k, gamma, r, r)[checked]
+        beyond = _t_tail_vector(k, gamma, r, out)
+        with mpmath.workdps(30):
+            a, b, r_max = mpmath.mpf(gamma - k) / 2, mpmath.mpf(k) / 2, mpmath.mpf(r[-1])
+            for radius, got in zip(np.concatenate([r[checked], out]), np.concatenate([on_grid, beyond])):
+                x = mpmath.mpf(radius)
+                y = min(x / r_max, 1) ** 2
+                want = r_max**gamma * x ** (k - gamma) / 2 * mpmath.betainc(a, b, 0, y)
+                assert abs(got / want - 1) <= 1e-14, (gamma, radius)
 
 
 def test_t_transform_divergence_and_zero():
