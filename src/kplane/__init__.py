@@ -39,7 +39,6 @@ _EXPORTS = {
     "AxiSymField": "profiles",
     "DistributionFunction": "profiles",
     "default_radial_grid": "profiles",
-    "default_field_grid": "profiles",
     "graded_field_grid": "profiles",
     "step_profile": "profiles",
     "indicator_profile": "profiles",
@@ -62,12 +61,8 @@ _EXPORTS = {
     "concentration_rescale": "operators",
     # flow
     "ConvergenceReport": "flow",
-    "DilationFit": "flow",
-    "EllipsoidFit": "flow",
     "competing_step": "flow",
     "competing_iterate": "flow",
-    "vs_squared_dilation_fit": "flow",
-    "ellipsoid_levelset_check": "flow",
     # pointfields
     "CauchyPowerField": "pointfields",
     "GaussianBump": "pointfields",

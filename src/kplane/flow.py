@@ -1,4 +1,4 @@
-"""Competing-symmetries iteration toward the extremizer.
+"""Competing-symmetries iteration (Carlen and Loss 1990) toward the extremizer.
 
 One step is V S: embed a radial profile g in R^d, apply the inversion symmetry
 S, and take the symmetric decreasing rearrangement V back to a radial profile.
@@ -29,7 +29,6 @@ from scipy.special import logsumexp
 from .errors import TailDivergenceError
 from .params import TransformParams, sphere_area
 from .profiles import (
-    AxiSymField,
     RadialProfile,
     _gl01,
     _pair_blocks,
@@ -47,12 +46,8 @@ from .operators import (
 
 __all__ = [
     "ConvergenceReport",
-    "DilationFit",
-    "EllipsoidFit",
     "competing_step",
     "competing_iterate",
-    "vs_squared_dilation_fit",
-    "ellipsoid_levelset_check",
 ]
 
 
@@ -76,32 +71,6 @@ class ConvergenceReport:
     n_iters: int
     target: RadialProfile = dc_field(repr=False, default=None)  # type: ignore[assignment]
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DilationFit:
-    """Best dilation mu matching F^2 f to mu^{d/p} f(mu r), with the residual."""
-
-    mu: float
-    residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class EllipsoidFit:
-    """Shared-eccentricity fit of field level sets.
-
-    The model is c rho^2 + (s - s0)^2 / c = R_l^2 with one (c, s0) for all
-    levels and a radius per level. rms_error is the relative radial misfit
-    over all contour points; levels at or below the largest boundary-ring
-    value are skipped (their super-level sets leave the grid box).
-    """
-
-    c: float
-    s0: float
-    rms_error: float
-    levels_used: np.ndarray
-    per_level_c: np.ndarray
-    n_skipped: int
 
 
 # ---------------------------------------------------------------------------
@@ -1006,145 +975,3 @@ def _half_max_radius(f: RadialProfile) -> float:
     v0, v1 = f.values[j - 1], f.values[j]
     frac = (0.5 * peak - v0) / (v1 - v0)
     return float(math.exp(u0 + (u1 - u0) * frac))
-
-
-def vs_squared_dilation_fit(f: RadialProfile, params: TransformParams) -> DilationFit:
-    """Fit F^2 f, two iteration steps, by a dilate of f.
-
-    Seeds mu from the ratio of half-maximum radii (median level-set match),
-    then minimizes the relative L^p misfit of mu^{d/p} f(mu r) against F^2 f
-    over log mu. Small residuals certify the two-step map acts on the profile
-    like a pure dilation, the mechanism that sends mass to the extremizer's
-    scale along the flow. Its first call imports scipy.optimize.
-    """
-    from scipy.optimize import minimize_scalar
-
-    mu = lebesgue_measure(params.d)
-    p = params.pf
-    g2 = competing_step(competing_step(f, params), params)
-    norm2 = lp_norm(g2, p, mu)
-    mu0 = _half_max_radius(f) / _half_max_radius(g2)
-
-    def residual(log_mu: float) -> float:
-        m = math.exp(log_mu)
-        cand = f.dilated(m).scaled(m ** (params.d / p))
-        return lp_distance(g2, cand, p, mu) / norm2
-
-    res = minimize_scalar(
-        residual,
-        bounds=(math.log(mu0) - 0.7, math.log(mu0) + 0.7),
-        method="bounded",
-        options={"xatol": 1e-7},
-    )
-    return DilationFit(mu=float(math.exp(res.x)), residual=float(res.fun))
-
-
-def _contour_points(field: AxiSymField, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing points of the level t by linear interpolation along grid lines."""
-    v = field.values
-    rho, s = field.rho, field.s
-    pts_r: list[np.ndarray] = []
-    pts_s: list[np.ndarray] = []
-    # crossings along rho (fixed s column)
-    a = v[:-1, :] - t
-    b = v[1:, :] - t
-    ii, jj = np.nonzero(a * b < 0)
-    if len(ii):
-        frac = a[ii, jj] / (a[ii, jj] - b[ii, jj])
-        pts_r.append(rho[ii] + frac * (rho[ii + 1] - rho[ii]))
-        pts_s.append(s[jj])
-    # crossings along s (fixed rho row)
-    a = v[:, :-1] - t
-    b = v[:, 1:] - t
-    ii, jj = np.nonzero(a * b < 0)
-    if len(ii):
-        frac = a[ii, jj] / (a[ii, jj] - b[ii, jj])
-        pts_r.append(rho[ii])
-        pts_s.append(s[jj] + frac * (s[jj + 1] - s[jj]))
-    if not pts_r:
-        return np.array([]), np.array([])
-    return np.concatenate(pts_r), np.concatenate(pts_s)
-
-
-def _fit_c_s0(
-    groups: list[tuple[np.ndarray, np.ndarray]], c0: float, s00: float
-) -> tuple[float, float, float]:
-    """Least-squares (c, s0) shared across level groups; returns (c, s0, rms)."""
-    from scipy.optimize import minimize
-
-    def cost(x: np.ndarray) -> float:
-        c = math.exp(x[0])
-        s0 = x[1]
-        total = 0.0
-        count = 0
-        for rr, ss in groups:
-            q = np.sqrt(c * rr**2 + (ss - s0) ** 2 / c)
-            r_l = q.mean()
-            total += float(np.sum((q / r_l - 1.0) ** 2))
-            count += len(q)
-        return total / count
-
-    res = minimize(
-        cost,
-        x0=np.array([math.log(c0), s00]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-    )
-    c = float(math.exp(res.x[0]))
-    s0 = float(res.x[1])
-    return c, s0, float(math.sqrt(cost(res.x)))
-
-
-def ellipsoid_levelset_check(g: AxiSymField) -> EllipsoidFit:
-    """Fit the field's level sets by coaxial ellipsoids of common eccentricity.
-
-    Levels are the fractions 1/10 .. 9/10 of the field maximum; levels not
-    enclosed by the grid box are skipped. The inversion image of a dilated
-    extremizer has exact ellipsoidal level sets lam rho^2 + s^2 / lam = const,
-    so c estimates the dilation factor and s0 should vanish. Its first call
-    imports scipy.optimize.
-    """
-    vmax = float(g.values.max())
-    if vmax <= 0:
-        raise ValueError("cannot fit level sets of the zero field")
-    floor = g.boundary_max()
-    levels_all = vmax * np.arange(1, 10) / 10.0
-    groups: list[tuple[np.ndarray, np.ndarray]] = []
-    levels_used: list[float] = []
-    n_skipped = 0
-    for t in levels_all:
-        if t <= floor:
-            n_skipped += 1
-            continue
-        rr, ss = _contour_points(g, float(t))
-        if len(rr) < 8:
-            n_skipped += 1
-            continue
-        groups.append((rr, ss))
-        levels_used.append(float(t))
-    if not groups:
-        raise ValueError("no usable level sets inside the grid box")
-    # moment-based seed: axis lengths from the extents of each contour
-    ratios = []
-    centers = []
-    for rr, ss in groups:
-        a = rr.max()
-        b = 0.5 * (ss.max() - ss.min())
-        if a > 0 and b > 0:
-            ratios.append(b / a)
-        centers.append(0.5 * (ss.max() + ss.min()))
-    c0 = float(np.median(ratios)) if ratios else 1.0
-    s00 = float(np.median(centers))
-    c, s0, rms = _fit_c_s0(groups, c0, s00)
-    per_level = []
-    for grp in groups:
-        cl, _, _ = _fit_c_s0([grp], c, s0)
-        per_level.append(cl)
-    return EllipsoidFit(
-        c=c,
-        s0=s0,
-        rms_error=rms,
-        levels_used=np.array(levels_used),
-        per_level_c=np.array(per_level),
-        n_skipped=n_skipped,
-    )

@@ -12,10 +12,11 @@ with paired nodes separated by a relative gap of 1e-12.
 
 Axisymmetric fields live on a (rho, |x'| , s = x_d) half-plane grid, cell
 centered, with an optional exact evaluator and a declared power tail used to
-extend the field radially outside the grid box. A field is read two ways: its
-L^p norm integrates the exact rule cell by cell (2x2 Gauss) plus the exterior
-tail by angular quadrature, and every distribution functional reads its
-symmetric decreasing rearrangement, so the profile functionals above apply.
+extend the field radially outside the grid box. lp_norm reads a field: it
+integrates the exact rule cell by cell (2x2 Gauss) plus the exterior tail by
+angular quadrature. The distribution functionals read profiles only; a field
+is read through its symmetric decreasing rearrangement (operators.rearrange)
+on a grid the caller chooses.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "AxiSymField",
     "DistributionFunction",
     "default_radial_grid",
-    "default_field_grid",
     "graded_field_grid",
     "step_profile",
     "indicator_profile",
@@ -774,25 +774,6 @@ def _positive_levels(f: RadialProfile) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_field_grid(
-    radius: float = DEFAULT_FIELD_RADIUS,
-    nrho: int = 1024,
-    ns: int = 1024,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centered (rho, s) grid covering [0, radius] x [-radius, radius].
-
-    ns must be even so that the s midpoints are symmetric about 0 without a
-    node at 0 (the inversion symmetry is singular on {s = 0}).
-    """
-    if ns % 2:
-        raise ValueError("ns must be even (no node may sit at s = 0)")
-    drho = radius / nrho
-    ds = 2.0 * radius / ns
-    rho = (np.arange(nrho) + 0.5) * drho
-    s = -radius + (np.arange(ns) + 0.5) * ds
-    return rho, s
-
-
 _GRID_STRETCH = 4.0
 
 
@@ -804,7 +785,7 @@ def graded_field_grid(
     """Cell-centered (rho, s) grid graded toward the origin by a sinh stretch.
 
     The stretch sinh(4 x) / sinh(4) packs cells about seven times tighter
-    near 0 than the uniform grid with the same counts, where peaked fields
+    near 0 than a uniform grid with the same counts, where peaked fields
     put the curvature that the rearrangement's cellwise-linear model
     resolves worst.
     """
@@ -966,13 +947,6 @@ class AxiSymField:
             )
         w, r_b, v_b = self._boundary_rays()
         return float(sphere_area(self.d - 1) * np.sum(w * v_b**p * r_b**self.d) / (g * p - self.d))
-
-    def boundary_max(self) -> float:
-        """Largest cell value on the outermost ring of the grid."""
-        v = self.values
-        return float(
-            max(v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        )
 
 
 def field_from_function(
@@ -1267,21 +1241,6 @@ def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None
         )
 
 
-def _distribution_reading(
-    f: RadialProfile | AxiSymField, measure: WeightedMeasure
-) -> RadialProfile:
-    """The profile a distribution functional reads: a field's rearrangement.
-
-    Distribution functionals see only super-level-set measures, so a field is
-    read as its symmetric decreasing rearrangement on a 4096-node grid;
-    profiles are read as they are.
-    """
-    if isinstance(f, AxiSymField):
-        _require_field_measure(f, measure)
-        return _rearranged_profile(f, default_radial_grid(4096))
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Public functionals
 # ---------------------------------------------------------------------------
@@ -1306,12 +1265,9 @@ def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) 
     return _profile_norm_power(f, p, measure) ** (1.0 / p)
 
 
-def distribution_at(f: RadialProfile | AxiSymField, t, measure: WeightedMeasure):
-    """Exact measure of the super-level set {f >= t}, t > 0; t scalar or array.
-
-    A field is read through its 4096-node rearrangement.
-    """
-    return _profile_distribution(_distribution_reading(f, measure), t, measure)
+def distribution_at(f: RadialProfile, t, measure: WeightedMeasure):
+    """Exact measure of the super-level set {f >= t}, t > 0; t scalar or array."""
+    return _profile_distribution(f, t, measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1339,15 +1295,12 @@ class DistributionFunction:
             raise ValueError("measures must be nonnegative and nondecreasing")
 
 
-def distribution_function(
-    f: RadialProfile | AxiSymField, measure: WeightedMeasure
-) -> DistributionFunction:
-    """Distribution function evaluated at the function's own level breakpoints.
+def distribution_function(f: RadialProfile, measure: WeightedMeasure) -> DistributionFunction:
+    """Distribution function evaluated at the profile's own level breakpoints.
 
-    The breakpoints are the distinct positive node values of the profile, or
-    of a field's 4096-node rearrangement, and the table is exact for it.
+    The breakpoints are the distinct positive node values of the profile, and
+    the table is exact for it.
     """
-    f = _distribution_reading(f, measure)
     levels = _positive_levels(f)
     if len(levels) == 0:
         return DistributionFunction(np.array([]), np.array([]))
@@ -1707,7 +1660,7 @@ def _lorentz_finite(
 
 
 def lorentz_quasinorm(
-    f: RadialProfile | AxiSymField, p: float, r: float, measure: WeightedMeasure
+    f: RadialProfile, p: float, r: float, measure: WeightedMeasure
 ) -> float:
     """Lorentz quasinorm ||f||_{p,r}.
 
@@ -1719,7 +1672,7 @@ def lorentz_quasinorm(
     reproduces the L^p norm exactly (layer cake), which the test suite checks
     to 1e-12 on profiles whose values span many decades. For an indicator
     of measure V this gives V^{1/p} (p/r)^{1/r} at finite r and V^{1/p} at
-    r = inf. A field is read through its 4096-node rearrangement.
+    r = inf.
 
     Finite r integrates d^{r/p} t^{r-1} over each level segment at the
     fewest Gauss-Legendre nodes its pole at t = 0, the zero of d beyond it
@@ -1737,7 +1690,7 @@ def lorentz_quasinorm(
     _check_exponent(p)
     if not (r == math.inf or 0 < r < math.inf):
         raise ValueError(f"secondary exponent must be +inf or positive and finite, got {r}")
-    return _lorentz_profile(_distribution_reading(f, measure), p, (r,), measure)[0]
+    return _lorentz_profile(f, p, (r,), measure)[0]
 
 
 @dataclass(frozen=True)
@@ -1750,20 +1703,17 @@ class InterpolationReport:
 
 
 def interpolation_check(
-    f: RadialProfile | AxiSymField, p: float, r: float, measure: WeightedMeasure
+    f: RadialProfile, p: float, r: float, measure: WeightedMeasure
 ) -> InterpolationReport:
     """Check ||f||_{p,r}^r <= ||f||_{p,inf}^{r-p} * ||f||_p^p for p < r < inf.
 
     Exact for every measurable f (the normalizing p factor cancels), so
     failures beyond a 1e-8 relative slack indicate a quadrature bug, not a
-    borderline profile. A field is rearranged once (4096 nodes) and all
-    three terms, the L^p norm too, read that rearrangement. Both Lorentz
-    terms read one distribution engine.
+    borderline profile. Both Lorentz terms read one distribution engine.
     """
     if not p < r < math.inf:
         raise ValueError(f"need p < r < inf, got r={r}, p={p}")
     _check_exponent(p)
-    f = _distribution_reading(f, measure)
     lorentz, weak = _lorentz_profile(f, p, (r, math.inf), measure)
     lhs = lorentz**r
     strong = lp_norm(f, p, measure)

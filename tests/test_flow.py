@@ -1,4 +1,4 @@
-"""Competing-symmetries iteration: convergence, monotonicity, diagnostics."""
+"""Competing-symmetries iteration: convergence, monotonicity, the step's oracle."""
 
 import warnings
 from fractions import Fraction
@@ -12,7 +12,6 @@ from kplane import (
     best_constant,
     competing_iterate,
     competing_step,
-    ellipsoid_levelset_check,
     embed_radial,
     graded_field_grid,
     indicator_profile,
@@ -22,7 +21,6 @@ from kplane import (
     rearrange,
     s_symmetry,
     step_profile,
-    vs_squared_dilation_fit,
 )
 from kplane.flow import _half_max_radius
 from kplane.operators import ExtremizerSpec, extremizer_profile
@@ -478,92 +476,6 @@ def test_noisy_extremizer_returns():
     assert rep.distances[0] > 1e-3  # the perturbation is visible
     assert rep.distances[-1] < 1e-3
     assert rep.distances[-1] < rep.distances[0] / 10.0
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics: dilation fit of the squared step, ellipsoid level sets
-# ---------------------------------------------------------------------------
-
-
-def test_dilation_fit_extremizer():
-    h = extremizer_profile(ExtremizerSpec(PR13))
-    fit = vs_squared_dilation_fit(h, PR13)
-    print(f"(VS)^2 on h: mu = {fit.mu:.6f}, residual {fit.residual:.3e}")
-    assert abs(fit.mu - 1.0) < 1e-3
-    assert fit.residual < 1e-3
-
-
-def test_dilation_fit_cauchy_family_member():
-    # f = (2 + 5 r^2)^{-1} is a non-extremizer with the right tail; the
-    # squared step acts on it as a genuine dilation (observed mu ~ 0.665)
-    r = default_radial_grid()
-    f = RadialProfile(3, r, 1.0 / (2.0 + 5.0 * r**2), 2.0)
-    fit = vs_squared_dilation_fit(f, PR13)
-    print(f"(VS)^2 on (2+5r^2)^-1: mu = {fit.mu:.6f}, residual {fit.residual:.3e}")
-    assert 0.6 < fit.mu < 0.7
-    assert fit.residual < 1e-2
-
-
-def test_dilation_fit_indicator_is_not_a_dilation():
-    # far from the extremizer family the two-step map reshapes the profile,
-    # so the best dilation fit leaves an O(1) residual; diagnostic only
-    fit = vs_squared_dilation_fit(normalized_indicator(PR13), PR13)
-    print(f"(VS)^2 on indicator: mu = {fit.mu:.6f}, residual {fit.residual:.3e}")
-    assert np.isfinite(fit.mu) and np.isfinite(fit.residual)
-    assert fit.residual > 0.1
-
-
-def test_ellipsoid_levelsets_of_inverted_extremizer():
-    rho, s = graded_field_grid(60.0, 1024, 1024)
-    h = extremizer_profile(ExtremizerSpec(PR13))
-    fit = ellipsoid_levelset_check(s_symmetry(embed_radial(h, rho, s), PR13))
-    print(
-        f"S h level sets: c = {fit.c:.8f}, s0 = {fit.s0:.2e}, "
-        f"rms {fit.rms_error:.3e}, skipped {fit.n_skipped}"
-    )
-    assert abs(fit.c - 1.0) < 1e-3
-    assert abs(fit.s0) < 1e-3
-    assert fit.rms_error < 1e-3
-    assert fit.n_skipped == 0
-    assert len(fit.levels_used) == len(fit.per_level_c) == 9
-
-
-def test_ellipsoid_levelsets_of_inverted_dilate():
-    # S maps h(2r) to a field with level sets 2 rho^2 + s^2/2 = const, so the
-    # shared-eccentricity fit should report c ~ 2 with tiny per-level spread
-    rho, s = graded_field_grid(60.0, 1024, 1024)
-    h2 = extremizer_profile(ExtremizerSpec(PR13, dilation=2.0))
-    fit = ellipsoid_levelset_check(s_symmetry(embed_radial(h2, rho, s), PR13))
-    spread = float(fit.per_level_c.max() - fit.per_level_c.min())
-    print(f"S h(2r) level sets: c = {fit.c:.6f}, spread {spread:.3e}")
-    assert abs(fit.c - 2.0) < 1e-2
-    assert abs(fit.s0) < 1e-3
-    assert spread < 1e-2
-
-
-def test_ellipsoid_levelsets_far_from_family():
-    # the inverted indicator has level sets that are nothing like ellipsoids
-    # of a common eccentricity; the fit must still return finite numbers
-    rho, s = graded_field_grid(60.0, 512, 512)
-    ind = normalized_indicator(PR13)
-    fit = ellipsoid_levelset_check(s_symmetry(embed_radial(ind, rho, s), PR13))
-    print(f"S indicator level sets: c = {fit.c:.6f}, rms {fit.rms_error:.3e}")
-    assert np.isfinite(fit.c) and fit.c > 0
-    assert np.isfinite(fit.rms_error)
-
-
-def test_ellipsoid_check_rejects_zero_field():
-    from kplane import AxiSymField
-
-    g = AxiSymField(
-        3,
-        np.array([0.5, 1.5]),
-        np.array([-0.5, 0.5]),
-        np.zeros((2, 2)),
-        tail_exponent=4.0,
-    )
-    with pytest.raises(ValueError):
-        ellipsoid_levelset_check(g)
 
 
 def test_underflowing_start_runs_without_numpy_warnings():

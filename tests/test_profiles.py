@@ -17,12 +17,10 @@ from kplane import (
     RadialProfile,
     TailDivergenceError,
     TransformParams,
-    default_field_grid,
     default_radial_grid,
     distribution_at,
     distribution_function,
     embed_radial,
-    field_from_function,
     graded_field_grid,
     indicator_profile,
     interpolation_check,
@@ -58,24 +56,20 @@ def test_default_radial_grid_is_geometric():
 
 
 def test_field_grids_cell_centered_and_symmetric():
-    rho, s = default_field_grid(10.0, 16, 8)
-    assert len(rho) == 16 and len(s) == 8
-    assert abs(rho[0] - 10.0 / 32) < 1e-15
-    assert np.all(s + s[::-1] == 0)
-    assert not np.any(s == 0)
-
     rho_g, s_g = graded_field_grid(10.0, 16, 8)
+    assert len(rho_g) == 16 and len(s_g) == 8
     assert np.all(np.diff(rho_g) > 0) and np.all(np.diff(s_g) > 0)
     assert np.max(np.abs(s_g + s_g[::-1])) < 1e-12
-    # grading packs cells toward the origin
-    assert rho_g[0] < rho[0]
+    assert not np.any(s_g == 0)
+    # grading packs cells toward the origin: the first node sits below the
+    # first node 10 / 32 of a uniform cell-centered grid with the same count
+    assert 0.0 < rho_g[0] < 10.0 / (2 * 16)
 
 
 def test_field_grids_reject_odd_ns():
-    with pytest.raises(ValueError, match="even"):
-        default_field_grid(10.0, 16, 7)
-    with pytest.raises(ValueError, match="even"):
-        graded_field_grid(10.0, 16, 9)
+    for ns in (7, 9):
+        with pytest.raises(ValueError, match="even"):
+            graded_field_grid(10.0, 16, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +352,15 @@ def test_distribution_function_table():
 
 
 def test_field_distribution_matches_profile():
-    # the field's rearrangement reads {h >= t} to 5.6e-3 on this grid; the
-    # sorted-cell staircase it replaced read 1.9e-2
+    # the field's 4096-node rearrangement reads {h >= t} to 5.6e-3 on this grid
     f = h_profile(3)
     mu = lebesgue_measure(3)
     rho, s = graded_field_grid(60.0, 512, 512)
-    g = embed_radial(f, rho, s)
+    v = rearrange(embed_radial(f, rho, s), out_radii=default_radial_grid(4096))
     ts = np.geomspace(1e-3, 0.95, 25)
-    got = np.asarray(distribution_at(g, ts, mu))
+    got = np.asarray(distribution_at(v, ts, mu))
     expect = np.asarray(distribution_at(f, ts, mu))
     assert np.max(np.abs(got / expect - 1.0)) <= 1e-2
-
-
-def test_field_distribution_functionals_read_rearrangement():
-    # an off-center anisotropic bump: every distribution functional of the
-    # field is its value on the field's 4096-node rearrangement. At radius 1
-    # the rearrangement resolves the bump over four decades of the grid
-    # (about 2070 positive nodes), from its flat top to its edge.
-    mu = lebesgue_measure(3)
-    big_r = 1.0
-    rho, s = graded_field_grid(2.0 * big_r, 64, 64)
-
-    def ev(rq, sq):
-        q = (0.6 * rq**2 + 2.1 * (sq - 0.2 * big_r) ** 2) / big_r**2
-        return 1.3 * np.clip(1.0 - q, 0.0, None) ** 2
-
-    g = field_from_function(ev, 3, rho, s, 4.0)
-    v = rearrange(g, out_radii=default_radial_grid(4096))
-    assert np.count_nonzero(v.values) > 2000
-    table, table_v = distribution_function(g, mu), distribution_function(v, mu)
-    np.testing.assert_array_equal(table.thresholds, table_v.thresholds)
-    np.testing.assert_array_equal(table.measures, table_v.measures)
-    assert lorentz_quasinorm(g, 2.0, 3.0, mu) == lorentz_quasinorm(v, 2.0, 3.0, mu)
-    assert interpolation_check(g, 2.0, 3.0, mu) == interpolation_check(v, 2.0, 3.0, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,8 +988,7 @@ def test_lorentz_weak_norm_on_subnormal_value_changes():
     ids=("profiles", "operators", "flow", "workloads"),
 )
 def test_import_loads_no_scipy_optimize_linalg_or_sparse(modules):
-    # the functionals, T and the flow step run on numpy and scipy.special;
-    # the two flow fits import scipy.optimize when first called
+    # the functionals, T and the flow step run on numpy and scipy.special
     code = (
         f"import sys, {modules}; "
         "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])"
@@ -1210,7 +1179,7 @@ def test_field_norm_integrates_evaluator_for_every_p():
 
 def test_embed_radial_point_values():
     f = h_profile(3)
-    rho, s = default_field_grid(20.0, 64, 64)
+    rho, s = graded_field_grid(20.0, 64, 64)
     g = embed_radial(f, rho, s)
     assert g.evaluator is not None
     # evaluator reads the profile along circles rho^2 + s^2 = r^2
