@@ -86,52 +86,140 @@ def extremizer_profile(spec: ExtremizerSpec, radii: np.ndarray | None = None) ->
 # Radial transform
 # ---------------------------------------------------------------------------
 
-# The integral along s decomposes over the profile's pieces. On piece
-# [r_j, r_{j+1}] the profile is a hat-function combination of its endpoint
-# values, so T f at radius r is a row of weights against those values; each
-# weight is a GL6 integral in s (the integrand is analytic there, including
-# at s = 0). The row at r reads only the nodes at or beyond r, so on f's own
-# grid T is upper triangular. On a geometric grid s = r_i sigma maps the row
-# at r_i onto the row at r_0: T[i, i+d] = (r_i/r_0)^k T[0, d], and T f is
-# that scale times the non-negative lags of the correlation of f with the row
-# at r_0. Those lags are computed in blocks of _LAG_BLOCK outputs, so the
-# negative lags, half of a full correlation, are never formed. The last node
-# takes only its right-node weights, since no piece lies beyond it. The row,
-# those weights and the scale, O(n) numbers, are cached per (k, grid); the
-# key holds the grid's bytes themselves, so two grids that differ anywhere
-# never share a row. Any other grid, and any explicit set of output radii,
-# computes one row per output radius. The gamma-dependent tail beyond the
-# last node is a separate closed-form incomplete-Beta term added per call.
+# In rho = sqrt(s^2 + r^2) the transform reads
+#
+#     T f(r) = int_r^inf f(rho) (rho^2 - r^2)^beta rho drho,   beta = (k - 2)/2.
+#
+# The profile is linear in u = log rho on each piece [u_j, u_{j+1}], so T f at
+# radius r is a row of weights against its node values: each piece gives its
+# left node a weight A_j and its right node B_j. The row at r reads only the
+# nodes at or beyond r, so on f's own grid T is upper triangular.
+#
+# The kernel (rho^2 - r^2)^beta rho^2 is the binomial series
+# sum_l C(beta, l) (-1)^l r^(2l) rho^(k-2l) in x = (r/rho)^2, and against it a
+# piece's weights are closed forms (_piece_moments). For even k the series
+# ends after k/2 terms, so it is exact on every piece at or beyond r. For odd
+# k it converges slowly near the diagonal x = 1; it is cut where its terms
+# fall below rounding and read only on pieces with x <= _X_FAR. The pieces
+# nearer r, and for every k a piece that contains r, take GL6 in s (the
+# integrand is analytic there, s = 0 included).
+#
+# On a geometric grid s = r_i sigma maps the row at r_i onto the row at r_0:
+# T[i, i+d] = (r_i/r_0)^k T[0, d]. The lags d < D, whose node has a GL6 piece
+# (for even k only d = 0, and no GL6), are a band: one "valid" correlation of
+# f with the first D weights of the row at r_0. A node at lag d >= D has its
+# whole hat where x <= _X_FAR, and its weight sum_l c_l H_l r_i^(2l) r_j^(k-2l)
+# separates, so the far lags are L suffix sums of f_j r_j^(k-2l), each scaled
+# by r_i^(2l). T f costs O(n (D + L)), and O(n k) with no correlation for
+# even k. The powers are taken relative to a middle node; on a grid so wide
+# that they could overflow, every lag is read from the band. The last node
+# takes only its right-node weights, since no piece lies beyond it. The
+# band, those weights, the scale and the series arrays, O(L n) numbers, are
+# cached per (k, grid); the key holds the grid's bytes themselves, so two
+# grids that differ anywhere never share an entry. Any other grid, and any
+# explicit set of output radii, computes one row per output radius with the
+# same split and the same closed forms, so both paths agree to rounding. The
+# gamma-dependent tail beyond the last node is a separate closed-form
+# incomplete-Beta term added per call.
 
-_T_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
+_T_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
 _T_CACHE_MAX = 4
 # A node computed from its logarithm, as np.geomspace does, is rounded by
 # about eps |log r| relative; a grid whose ratios r_{j+1}/r_j agree to a few
 # times that is geometric for the one-row reading.
 _GEOMETRIC_ULPS = 4.0
-# outputs per "valid" correlation of _nonnegative_lags: a block of B outputs
-# costs its own triangle of about B^2/2 multiply-adds beyond the lags it keeps
-_LAG_BLOCK = 256
+# odd k reads the series on pieces where (r/rho)^2 <= _X_FAR: at 2048 nodes
+# over [1e-4, 1e4] that is a band of D = 257 lags and 8 series terms (k = 1,
+# 3). A lag costs one multiply-add per node in the correlation, a term a few
+# passes of a cumulative sum, so 1e-3 to 1e-2 time alike at 2048 nodes and
+# 1e-1, with 16 terms, is slower; finer grids favour a larger value.
+_X_FAR = 0.01
+# largest |exponent| of the scaled powers in the packed series
+_EXP_MAX = 600.0
+_EPS = float(np.finfo(float).eps)
 
 
-def _row_contributions(radii: np.ndarray, u: np.ndarray, k: int, r: float):
-    """Per-piece weights (A_j on the left node, B_j on the right) for T at radius r."""
+def _series(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c_l, m_l): (1 - x)^beta ~ sum_l c_l x^l, beta = (k-2)/2, with m_l = k - 2 l.
+
+    The series stops before the first term past l = beta whose bound on
+    [0, _X_FAR], |c_l| _X_FAR^l, is below a quarter ulp; past beta the |c_l|
+    shrink, so the remainder is below eps / (4 (1 - _X_FAR)). For even k that
+    term is the first zero one, l = k/2, and the sum is exact for x <= 1.
+    """
+    beta = (k - 2) / 2.0
+    c = [1.0]
+    while True:
+        n = len(c)
+        nxt = c[-1] * (n - 1 - beta) / n
+        if n > beta and abs(nxt) * _X_FAR**n <= _EPS / 4:
+            return np.array(c), k - 2.0 * np.arange(n)
+        c.append(nxt)
+
+
+# Taylor coefficients 1/(n+2)! of _phi2 below |x| = 1: the first one left
+# out, 1/20!, is under eps/100 of phi2 there (phi2 >= phi2(-1) = 1/e)
+_PHI2_COEF = 1.0 / np.array([math.factorial(n + 2) for n in range(18)])
+
+
+def _phi2(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1 - x)/x^2 = int_0^1 (1 - t) e^(x t) dt, by Taylor series where |x| < 1."""
+    out = np.empty_like(x)
+    small = np.abs(x) < 1.0
+    xs = x[small]
+    acc = np.full_like(xs, _PHI2_COEF[-1])
+    for c in _PHI2_COEF[-2::-1]:
+        acc *= xs
+        acc += c
+    out[small] = acc
+    xl = x[~small]
+    out[~small] = (np.expm1(xl) - xl) / xl**2
+    return out
+
+
+def _piece_moments(radii: np.ndarray, k: int) -> np.ndarray:
+    """Shape (L, 2, n - 1): the series' hat moments on each piece of radii.
+
+    With x_j = (r/r_j)^2, a piece [u_j, u_{j+1}] at or beyond r gives its left
+    node A_j = r_j^k sum_l M[l, 0, j] x_j^l and its right node
+    B_j = r_{j+1}^k sum_l M[l, 1, j] x_{j+1}^l, since c_l times
+    int (1 - t) rho^m du = w r_j^m phi2(m w) and int t rho^m du =
+    w r_{j+1}^m phi2(-m w) over the piece, t = (u - u_j)/w, w = log(r_{j+1}/r_j).
+    """
+    c, m = _series(k)
+    w = np.log(radii[1:] / radii[:-1])
+    return c[:, None, None] * w * _phi2(m[:, None, None] * np.array([[1.0], [-1.0]]) * w)
+
+
+def _row_contributions(radii: np.ndarray, k: int, r: float, moments: np.ndarray):
+    """(j_first, n_near, A, B): per-piece weights for T at radius r from piece j_first on.
+
+    A_j is the left node's weight and B_j the right node's. The first n_near
+    pieces, with (r/r_j)^2 above _X_FAR (odd k) or 1 (even k), read GL6 in s;
+    for even k that is at most the piece containing r. The others read the
+    series by Horner over its terms, with moments = _piece_moments(radii, k).
+    """
     j_first = max(int(np.searchsorted(radii, r, side="right")) - 1, 0)
     rj = radii[j_first:]
-    uj = u[j_first:]
-    s_edges = np.sqrt(np.clip(rj**2 - r**2, 0.0, None))
-    s_lo, s_hi = s_edges[:-1], s_edges[1:]
-    ds = s_hi - s_lo
-    du = uj[1:] - uj[:-1]
-    a = np.zeros_like(ds)
-    b = np.zeros_like(ds)
-    for xg, wg in zip(_GL6_X, _GL6_W):
-        s = s_lo + ds * xg
-        frac = np.clip((np.log(np.hypot(s, r)) - uj[:-1]) / du, 0.0, 1.0)
-        c = wg * ds * s ** (k - 1)
-        a += c * (1.0 - frac)
-        b += c * frac
-    return j_first, a, b
+    x = (r / rj) ** 2
+    n_near = int(np.count_nonzero(x[:-1] > (1.0 if k % 2 == 0 else _X_FAR)))
+    rn = rj[: n_near + 1]
+    s_edges = np.sqrt(np.clip(rn**2 - r**2, 0.0, None))
+    ds = s_edges[1:] - s_edges[:-1]
+    s = s_edges[:-1] + ds * _GL6_X[:, None]
+    frac = np.clip(np.log(np.hypot(s, r) / rn[:-1]) / np.log(rn[1:] / rn[:-1]), 0.0, 1.0)
+    cw = _GL6_W[:, None] * ds * s ** (k - 1)
+    # the far pieces' left and right nodes together, Horner in x_j and x_{j+1}
+    xs = np.stack([x[n_near:-1], x[n_near + 1 :]])
+    far = moments[:, :, j_first + n_near :]
+    acc = far[-1].copy()
+    for mom in far[-2::-1]:
+        acc *= xs
+        acc += mom
+    rk = rj[n_near:] ** k
+    a = np.concatenate([(cw * (1.0 - frac)).sum(axis=0), acc[0] * rk[:-1]])
+    b = np.concatenate([(cw * frac).sum(axis=0), acc[1] * rk[1:]])
+    return j_first, n_near, a, b
 
 
 def _is_geometric(radii: np.ndarray) -> bool:
@@ -143,10 +231,13 @@ def _is_geometric(radii: np.ndarray) -> bool:
 
 
 def _kernel_row(k: int, f: RadialProfile):
-    """(row, last, scale) of T on f's geometric grid, or None on any other grid.
+    """(band, last, scale, far) of T on f's geometric grid, or None on any other grid.
 
-    For i < n - 1, T[i, i+d] = scale_i row[d] when i + d < n - 1, and
-    T[i, n-1] = scale_i last[i]; the last node's own row is 0.
+    For i < n - 1, T[i, i+d] = scale_i band[d] for d < D = len(band) and
+    i + d < n - 1, T[i, n-1] = scale_i last[i], and for D <= d < n - 1 - i,
+    T[i, i+d] = sum_l P[l, i] W[l, i+d-D] with (P, W) = far; the last node's
+    own row is 0. far is None when the band holds every lag: on grids too
+    short for far lags, and on grids so wide that the powers could overflow.
     """
     key = (k, f.radii.tobytes())
     hit = _T_CACHE.get(key)
@@ -156,39 +247,45 @@ def _kernel_row(k: int, f: RadialProfile):
     radii = f.radii
     if not _is_geometric(radii):
         return None
-    _, a, b = _row_contributions(radii, f.log_radii, k, float(radii[0]))
+    moments = _piece_moments(radii, k)
+    _, n_near, a, b = _row_contributions(radii, k, float(radii[0]), moments)
     row = a.copy()
     row[1:] += b[:-1]
-    entry = (row, b[::-1].copy(), (radii[:-1] / radii[0]) ** k)
+    n_band = n_near + 1
+    far = None
+    if n_band < len(row):
+        c, m = _series(k)
+        # powers about a middle node rc: r_i^(2l) r_j^(k-2l) = rc^k (r_i/rc)^(2l) (r_j/rc)^(k-2l)
+        rc = radii[len(radii) // 2]
+        two_l = k - m
+        span = max(abs(math.log(radii[0] / rc)), abs(math.log(radii[-1] / rc)))
+        if span * max(two_l[-1], np.abs(m).max()) + k * abs(math.log(rc)) <= _EXP_MAX:
+            # a far node's full hat: its left piece's right-node moment plus its
+            # right piece's left-node moment
+            h = (moments[:, 1, n_band - 1] + moments[:, 0, n_band]) * rc**k
+            p = h[:, None] * (radii[: len(row) - n_band] / rc) ** two_l[:, None]
+            far = (p, (radii[n_band:-1] / rc) ** m[:, None])
+        else:
+            n_band = len(row)
+    entry = (row[:n_band].copy(), b[::-1].copy(), (radii[:-1] / radii[0]) ** k, far)
     _T_CACHE[key] = entry
     if len(_T_CACHE) > _T_CACHE_MAX:
         _T_CACHE.popitem(last=False)
     return entry
 
 
-def _nonnegative_lags(a: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """out[i] = sum_d row[d] a[i + d] over i + d < len(a), for len(row) >= len(a).
-
-    These are the lags >= 0 of np.correlate(a, row, "full"). Outputs [s, e)
-    read a[s:] and row[:len(a) - s] only: one "valid" correlation of a[s:],
-    zero-padded by e - s - 1, with that part of the row. Over all blocks that
-    is about n (n + B) / 2 multiply-adds for n = len(a), against n^2 for the
-    full correlation.
+def _banded_lags(a: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """out[i] = sum_d band[d] a[i + d] over i + d < len(a): lags 0 .. len(band) - 1
+    of np.correlate(a, band, "full"), by one "valid" correlation of a zero-padded a.
     """
-    n = len(a)
-    out = np.empty(n)
-    padded = np.concatenate([a, np.zeros(_LAG_BLOCK - 1)])
-    for s in range(0, n, _LAG_BLOCK):
-        b = min(_LAG_BLOCK, n - s)
-        out[s : s + b] = np.correlate(padded[s : n + b - 1], row[: n - s], "valid")
-    return out
+    return np.correlate(np.concatenate([a, np.zeros(len(band) - 1)]), band, "valid")
 
 
-# terms of the tail series at y <= _TAIL_SERIES_Y: for k odd |C((k-2)/2, n)|
+# terms of the odd-k tail series at y <= _TAIL_SERIES_Y: |C((k-2)/2, n)|
 # <= 3/2, so the n-th term is at most 3/2 64^-n of the first, and the sum,
 # a mean of (1 - y t)^((k-2)/2) over t in [0, 1], is at least (63/64)^(3/2)
 # of it. Past r_max/8 betainc costs less than the terms that the series
-# would need there.
+# would need there. For even k the series is a finite sum, exact at every y.
 _TAIL_SERIES_Y = 1.0 / 64.0
 _TAIL_TERMS = 10
 
@@ -202,14 +299,15 @@ def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -
 
         (r_max^k / 2) sum_n C((k-2)/2, n) (-y)^n / ((gamma-k)/2 + n),
 
-    read by Horner in _TAIL_TERMS terms; for even k it ends after k/2. Nodes
-    with r > r_max/8, and out_radii beyond the grid (y clipped to 1), read
-    the closed form by scipy's betainc.
+    read by Horner. For even k it ends after k/2 terms and is read at every
+    r <= r_max; for odd k it is cut after _TAIL_TERMS terms and read only up
+    to r_max/8. The other radii, among them out_radii beyond the grid (y
+    clipped to 1), read the closed form by scipy's betainc.
     """
     r_max = radii[-1]
     a, b = (gamma - k) / 2.0, k / 2.0
     y = np.clip((out_r / r_max) ** 2, 0.0, 1.0)
-    series = y <= _TAIL_SERIES_Y
+    series = out_r <= r_max if k % 2 == 0 else y <= _TAIL_SERIES_Y
     out = np.empty_like(y)
     n = np.arange(k // 2 if k % 2 == 0 else _TAIL_TERMS)
     # C(b - 1, n) / (a + n), the binomials by their ratio (b - n) / n
@@ -235,12 +333,16 @@ def t_transform(
     """Radial reduction of the k-plane transform of a radial profile.
 
     Returns the profile of T f on f's own grid, or on out_radii when given.
-    On a geometric grid T f is the non-negative lags of the correlation of f
-    with a cached kernel row, computed in blocks of outputs; any other grid,
-    and out_radii, take one row of weights per output radius. The power
-    tail beyond the last node adds its incomplete-Beta term by its series
-    below r_max/8 and by betainc above (see _t_tail_vector).
-    Memory is O(n) either way. The output decays like r^-(tail_exponent - k),
+    On a geometric grid T f is a short band of lags, one correlation of f
+    with the cached first weights of the row at r_0, plus the far lags as
+    suffix sums of the kernel's binomial series; for even k the series is
+    exact at every lag and T f takes no correlation. Any other grid, and
+    out_radii, take one row of weights per output radius, with the same
+    weights for the same nodes. The power tail beyond the last node adds its
+    incomplete-Beta term by its series (for even k at every node, for odd k
+    below r_max/8) and by betainc elsewhere (see _t_tail_vector).
+    Memory is O(L n) either way, for the series' L terms: k/2 for even k,
+    at most 8 for odd k. The output decays like r^-(tail_exponent - k),
     which must be a positive exponent or the line integral itself diverges.
     """
     k = params.k
@@ -251,16 +353,24 @@ def t_transform(
         )
     kernel = _kernel_row(k, f) if out_radii is None else None
     if kernel is not None:
-        row, last, scale = kernel
+        band, last, scale, far = kernel
         out_r = f.radii
-        # the non-negative lags: sum_d row[d] f[i+d] over the nodes before the last
-        inner = _nonnegative_lags(f.values[:-1], row)
-        core = np.append(scale * (inner + f.values[-1] * last), 0.0)
+        v = f.values[:-1]
+        # the band lags: sum_{d < D} band[d] f[i+d] over the nodes before the last
+        inner = band[0] * v if len(band) == 1 else _banded_lags(v, band)
+        core = scale * (inner + f.values[-1] * last)
+        if far is not None:
+            # the far lags: sum_l P[l, i] sum_{j >= i + D} W[l, j - D] f[j]
+            p, w = far
+            tails = np.cumsum((w * v[len(band) :])[:, ::-1], axis=1)[:, ::-1]
+            core[: p.shape[1]] += np.einsum("li,li->i", p, tails)
+        core = np.append(core, 0.0)
     else:
         out_r = f.radii if out_radii is None else np.asarray(out_radii, dtype=float)
         core = np.empty_like(out_r)
+        moments = _piece_moments(f.radii, k)
         for i, r in enumerate(out_r):
-            j0, a, b = _row_contributions(f.radii, f.log_radii, k, float(r))
+            j0, _, a, b = _row_contributions(f.radii, k, float(r), moments)
             core[i] = a @ f.values[j0:-1] + b @ f.values[j0 + 1 :]
     if f.values[-1] > 0:
         core = core + f.values[-1] * _t_tail_vector(k, gamma, f.radii, out_r)

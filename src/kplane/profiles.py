@@ -1265,8 +1265,18 @@ def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) 
     return _profile_norm_power(f, p, measure) ** (1.0 / p)
 
 
+def _require_profile(f, name: str) -> None:
+    """Refuse a field where a distribution functional reads a profile only."""
+    if isinstance(f, AxiSymField):
+        raise TypeError(
+            f"{name} reads a RadialProfile, not an AxiSymField: "
+            "pass rearrange(g, out_radii) on a radial grid of your choice"
+        )
+
+
 def distribution_at(f: RadialProfile, t, measure: WeightedMeasure):
     """Exact measure of the super-level set {f >= t}, t > 0; t scalar or array."""
+    _require_profile(f, "distribution_at")
     return _profile_distribution(f, t, measure)
 
 
@@ -1301,6 +1311,7 @@ def distribution_function(f: RadialProfile, measure: WeightedMeasure) -> Distrib
     The breakpoints are the distinct positive node values of the profile, and
     the table is exact for it.
     """
+    _require_profile(f, "distribution_function")
     levels = _positive_levels(f)
     if len(levels) == 0:
         return DistributionFunction(np.array([]), np.array([]))
@@ -1687,6 +1698,7 @@ def lorentz_quasinorm(
     which brackets each maximum; batched secant rounds, one query each,
     refine all brackets at once to 1e-8 relative in t (see _weak_sup).
     """
+    _require_profile(f, "lorentz_quasinorm")
     _check_exponent(p)
     if not (r == math.inf or 0 < r < math.inf):
         raise ValueError(f"secondary exponent must be +inf or positive and finite, got {r}")
@@ -1711,6 +1723,7 @@ def interpolation_check(
     failures beyond a 1e-8 relative slack indicate a quadrature bug, not a
     borderline profile. Both Lorentz terms read one distribution engine.
     """
+    _require_profile(f, "interpolation_check")
     if not p < r < math.inf:
         raise ValueError(f"need p < r < inf, got r={r}, p={p}")
     _check_exponent(p)

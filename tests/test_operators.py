@@ -74,8 +74,9 @@ def test_extremizer_spec_validation():
 
 
 def test_t_transform_extremizer_closed_form():
-    # T h(r) = I(k-1, k+1) (1 + r^2)^{-1/2}; the 5e-4 headroom covers GL6 on
-    # the PL pieces at 2048 nodes (measured 2.6e-5 for k=1 up to 1.1e-4 for k=3)
+    # T h(r) = I(k-1, k+1) (1 + r^2)^{-1/2}; the 5e-4 headroom covers the PL
+    # reading of h at 2048 nodes, which T reads to rounding: the reading's
+    # own error gives the measured 2.6e-5 for k=1 up to 1.1e-4 for k=3
     for k, d in PAIRS:
         pr = TransformParams(k, d)
         f = extremizer_profile(ExtremizerSpec(pr))
@@ -174,6 +175,93 @@ def test_packed_t_matches_the_direct_path_on_the_default_grid(k):
     assert np.max(np.abs(a - b)) <= 1e-10 * np.max(a)
 
 
+def _t_entry_mp(radii, i, j, k, gamma):
+    """T[i, j] in 30-digit mpmath: node j's hat in u = log rho against
+    (rho^2 - r_i^2)^((k-2)/2) rho^2 du over rho >= r_i; the last node adds
+    the power tail (r_max/rho)^gamma beyond the grid."""
+    with mpmath.workdps(30):
+        r = mpmath.mpf(radii[i])
+        u = [mpmath.log(mpmath.mpf(x)) for x in radii[max(j - 1, 0) : j + 2]]
+        uj = u[1] if j > 0 else u[0]
+        beta = mpmath.mpf(k - 2) / 2
+
+        def kernel(v):
+            return (mpmath.exp(2 * v) - r**2) ** beta * mpmath.exp(2 * v)
+
+        total = mpmath.mpf(0)
+        if j > 0:
+            lo = max(u[0], mpmath.log(r))
+            if lo < uj:
+                total += mpmath.quad(lambda v: (v - u[0]) / (uj - u[0]) * kernel(v), [lo, uj])
+        if j < len(radii) - 1:
+            hi = u[-1]
+            lo = max(uj, mpmath.log(r))
+            total += mpmath.quad(lambda v: (hi - v) / (hi - uj) * kernel(v), [lo, hi])
+        else:
+            r_max = mpmath.mpf(radii[-1])
+            total += mpmath.quad(
+                lambda rho: (r_max / rho) ** gamma * (rho**2 - r**2) ** beta * rho, [r_max, mpmath.inf]
+            )
+        return total
+
+
+@pytest.mark.parametrize("n, rows", [(2048, (100, 1500)), (64, (5, 40))], ids=["2048", "64"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_t_entries_against_mpmath(k, n, rows):
+    # lags 0, 1, D-1, D and the last node, on the packed path (unit profiles
+    # on the geometric grid) and the direct path (out_radii). Series entries,
+    # every entry for even k and lags >= D-1 for odd k, read to rounding on
+    # both grids; odd k's lags below D-1 carry GL6's error, which is below
+    # 2e-13 at 2048 nodes and 1.5e-9 (k = 3, lag 0) on the 64-node grid
+    from kplane import operators
+
+    radii = default_radial_grid(n)
+    gamma = k + 3.0
+    band = operators._kernel_row(k, RadialProfile(5, radii, np.ones(n), gamma))[0]
+    pr = TransformParams(k, 5)
+    for i in rows:
+        for lag in sorted({0, 1, len(band) - 1, len(band), n - 1 - i}):
+            unit = RadialProfile(5, radii, np.eye(1, n, i + lag)[0], gamma)
+            packed = t_transform(unit, pr).values[i]
+            direct = t_transform(unit, pr, out_radii=radii[i : i + 1]).values[0]
+            want = _t_entry_mp(radii, i, i + lag, k, gamma)
+            bound = 5e-9 if n == 64 and k % 2 == 1 and lag < len(band) - 1 else 2e-13
+            for got in (packed, direct):
+                assert abs(got / want - 1) <= bound, (i, lag)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_packed_t_matches_the_direct_path_on_8192_nodes(k):
+    # the 8n grid of a Richardson step: band, series and last node against
+    # one direct row each, at 16 radii spread over the grid
+    pr = TransformParams(k, 4)
+    f = smooth_profile(4, tail=5.0, radii=default_radial_grid(8192))
+    rows = np.linspace(0, 8191, 16).astype(int)
+    packed = t_transform(f, pr).values[rows]
+    direct = t_transform(f, pr, out_radii=f.radii[rows]).values
+    nz = direct != 0
+    assert np.array_equal(packed != 0, nz)
+    assert np.max(np.abs(packed[nz] / direct[nz] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_packed_t_on_a_grid_too_wide_for_the_series(k):
+    # over 80 decades odd k's eight-term series would take powers beyond the
+    # float range, so every lag is read from the band; k = 2's one term,
+    # rho^2, stays in range and keeps its series. Both match the direct path
+    from kplane import operators
+
+    pr = TransformParams(k, 4)
+    f = smooth_profile(4, tail=4.0, radii=np.geomspace(1e-40, 1e40, 256))
+    band, _, _, far = operators._kernel_row(k, f)
+    assert (far is None, len(band)) == ((True, 255) if k % 2 else (False, 1))
+    a = t_transform(f, pr).values
+    b = t_transform(f, pr, out_radii=f.radii).values
+    nz = b != 0
+    assert np.array_equal(a != 0, nz)
+    assert np.max(np.abs(a[nz] / b[nz] - 1.0)) <= 1e-12
+
+
 def test_t_matrix_on_a_perturbed_grid_is_built_row_by_row():
     from kplane.operators import _is_geometric
 
@@ -186,17 +274,18 @@ def test_t_matrix_on_a_perturbed_grid_is_built_row_by_row():
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 2048, 8193])
 def test_nonnegative_lags_are_the_full_correlation(n):
-    # around one block of _LAG_BLOCK outputs and at the package grid sizes;
-    # every term is nonnegative, so each entry agrees to rounding
-    from kplane.operators import _LAG_BLOCK, _nonnegative_lags
+    # the band's lags 0 .. D-1 are those of the full correlation, for bands
+    # of one lag (even k), of the package grid's D and of every lag; every
+    # term is nonnegative, so each entry agrees to rounding
+    from kplane.operators import _banded_lags
 
-    assert _LAG_BLOCK == 256
     rng = np.random.default_rng(n)
     a = 10.0 ** rng.uniform(-12.0, 0.0, n) * rng.uniform(size=n)
-    row = 10.0 ** rng.uniform(-12.0, 0.0, n)
-    want = np.correlate(a, row, "full")[n - 1 :]
-    got = _nonnegative_lags(a, row)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    for width in sorted({1, 2, min(257, n), n}):
+        band = 10.0 ** rng.uniform(-12.0, 0.0, width)
+        want = np.correlate(a, band, "full")[width - 1 : width - 1 + n]
+        got = _banded_lags(a, band)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_t_transform_memory_is_linear_in_the_grid():

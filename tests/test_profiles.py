@@ -363,6 +363,24 @@ def test_field_distribution_matches_profile():
     assert np.max(np.abs(got / expect - 1.0)) <= 1e-2
 
 
+@pytest.mark.parametrize(
+    "functional",
+    [
+        lambda g, mu: distribution_at(g, 0.5, mu),
+        lambda g, mu: distribution_function(g, mu),
+        lambda g, mu: lorentz_quasinorm(g, 2.0, 3.0, mu),
+        lambda g, mu: interpolation_check(g, 2.0, 3.0, mu),
+    ],
+    ids=["distribution_at", "distribution_function", "lorentz_quasinorm", "interpolation_check"],
+)
+def test_distribution_functionals_refuse_a_field(functional):
+    # they read profiles only; a field is rearranged first, on a grid the
+    # caller chooses, and the error says so
+    g = embed_radial(indicator_profile(3), *graded_field_grid(10.0, 16, 16))
+    with pytest.raises(TypeError, match=r"rearrange\(g, out_radii\)"):
+        functional(g, lebesgue_measure(3))
+
+
 # ---------------------------------------------------------------------------
 # The distribution engine against a dense per-piece reference
 # ---------------------------------------------------------------------------
