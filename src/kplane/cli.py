@@ -32,7 +32,6 @@ _THREAD_VARS = (
 )
 
 _SUITE_CHOICES = ("all", "rearrange", "lorentz", "symmetry", "drury", "flow")
-_PRESETS = ("h", "indicator", "gaussian")
 # the least value of each numeric option that has one; every value must be finite
 _FLOORS = {"grid": 1, "samples": 2, "iters": 0, "tol": 0.0, "seed": 0}
 

@@ -39,6 +39,7 @@ from .profiles import (
 )
 from .operators import (
     ExtremizerSpec,
+    _horner,
     _unbounded_image_warning,
     extremizer_profile,
     functional_ratio,
@@ -111,22 +112,28 @@ _BLOCK_APART = 2.0
 
 
 class _LayerKernel:
-    """W(A) and W'(A) A, read from la = log A >= 0.
+    """W(A) and W'(A) A at A >= 1, read from A or from la = log A.
 
     W'(y) y = y^d (1 - y^-2)^((d-3)/2) = sum_n w_n y^(j_n), j_n = d - 2n, so
     W = sum_{j_n != 0} w_n A^(j_n) / j_n + b log A + c, b the j = 0 weight.
-    For odd d the sum is finite and W a polynomial. For even d it is the
-    binomial series, cut at A^-28 and used only where A >= _A_SPLIT; there W
-    itself is P(A) sqrt(A^2 - 1) + e arcosh A, P of degree d - 1, and c makes
-    the cut series agree with it at the split. Near A = 1 those two terms are
-    of size sqrt(A - 1) while W ~ (A - 1)^((d-1)/2), so the closed form is
-    off by about eps (A - 1)^(-(d-2)/2) relative: against 40-digit mpmath it
-    reads 1e-15 at A - 1 = 0.048, 0.15 and 0.45 for d = 4, 6 and 8. Below
-    x = A - 1 = near_cut = min(_NEAR_ONE, 0.1^(2/(d-2))), W is read as
-    x^((d-1)/2) sum_n b_n x^n / (n + (d-1)/2),
-    sum_n b_n x^n = (2 + x)^((d-3)/2) (1 + x)^2, the integral of
-    W'(1 + x) = x^((d-3)/2) (2 + x)^((d-3)/2) (1 + x)^2 term by term. For
-    d = 2 both terms are positive and no series is needed.
+    For odd d the sum is finite; for even d it is the binomial series, cut
+    at A^-28. power reads these terms above the split (everywhere for odd
+    d), and so do the whole-piece moments of _InversionLayerCake.
+
+    A single A is read in x = A - 1 (see read). W'(1 + x) =
+    x^((d-3)/2) (2 + x)^((d-3)/2) (1 + x)^2, integrated term by term, gives
+    W = x^((d-1)/2) sum_n b_n x^n / (n + (d-1)/2),
+    sum_n b_n x^n = (2 + x)^((d-3)/2) (1 + x)^2. For odd d that sum has
+    (d+3)/2 terms, all positive, so it reads W at every A with no
+    cancellation. For even d it is the binomial series, cut after its terms
+    fall below 1e-18 at x = near_cut = min(_NEAR_ONE, 0.1^(2/(d-2))), and
+    above the cut W is P(A) sqrt(A^2 - 1) + e arcosh A, P of degree d - 1.
+    Near A = 1 those two terms are of size sqrt(A - 1) while
+    W ~ (A - 1)^((d-1)/2), so the closed form is off by about
+    eps (A - 1)^(-(d-2)/2) relative: against 40-digit mpmath it reads 1e-15
+    at A - 1 = 0.048, 0.15 and 0.45 for d = 4, 6 and 8. For d = 2 both terms
+    are positive and no series is needed. c makes the cut A^-2 series agree
+    with the closed form at the split.
     """
 
     def __init__(self, d: int) -> None:
@@ -142,6 +149,22 @@ class _LayerKernel:
         nonzero = self.j != 0
         self.a = np.where(nonzero, w / np.where(nonzero, self.j, 1.0), 0.0)
         self.b = float(w[~nonzero].sum())
+        # near A = 1: the binomial series of (2 + x)^((d-3)/2), times (1 + x)^2
+        if self.odd:  # a polynomial, read at every A
+            n_near = (d + 3) // 2
+        elif d == 2:  # two positive terms: the closed form needs no series
+            self.near_cut, n_near = 0.0, 1
+        else:
+            self.near_cut = min(_NEAR_ONE, 0.1 ** (2.0 / (d - 2)))
+            # the terms fall as (x/2)^n: keep those above 1e-18 at the cut
+            n_near = min(_NEAR_TERMS, math.ceil(-18.0 / math.log10(self.near_cut / 2.0)))
+        root2 = np.ones(n_near)
+        root2[0] = 2.0**half
+        for n in range(1, n_near):
+            root2[n] = root2[n - 1] * (half - (n - 1)) / (2.0 * n)
+        self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:n_near] / (
+            np.arange(n_near) + (d - 1) / 2.0
+        )
         if self.odd:
             self.c = -float(self.a.sum())
             return
@@ -154,83 +177,45 @@ class _LayerKernel:
             p[k - 1] = (rhs[k] + (k + 1) * p[k + 1]) / k
         self.poly = p[:d]
         self.arcosh = rhs[0] + p[1]
-        # near A = 1: the binomial series of (2 + x)^((d-3)/2), times (1 + x)^2
-        if d == 2:  # two positive terms: the closed form needs no series
-            self.near_cut, n_near = 0.0, 1
-        else:
-            self.near_cut = min(_NEAR_ONE, 0.1 ** (2.0 / (d - 2)))
-            # the terms fall as (x/2)^n: keep those above 1e-18 at the cut
-            n_near = min(_NEAR_TERMS, math.ceil(-18.0 / math.log10(self.near_cut / 2.0)))
-        root2 = np.ones(n_near)
-        root2[0] = 2.0**half
-        for n in range(1, n_near):
-            root2[n] = root2[n - 1] * (half - (n - 1)) / (2.0 * n)
-        self.near_int = (d - 2) // 2  # x^((d-1)/2) = x^near_int sqrt(x)
-        self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:n_near] / (
-            np.arange(n_near) + self.near_int + 0.5
-        )
-        ls = math.log(_A_SPLIT)
+        ls = np.array(math.log(_A_SPLIT))
         self.c = 0.0
-        self.c = float(self.value(np.array(ls)) - self._series(np.array(ls)))
+        self.c = float(self.read(ls)[0] - self._series(ls))
 
     def _series(self, la: np.ndarray) -> np.ndarray:
         return np.exp(la[..., None] * self.j) @ self.a + self.b * la + self.c
 
-    def value(self, la: np.ndarray) -> np.ndarray:
-        """W(e^la), free of cancellation near A = 1.
-
-        Odd d sums expm1 terms. Even d reads the closed form, and its series
-        in x = A - 1 below near_cut.
-        """
-        if self.odd:
-            return sum(a * np.expm1(j * la) for a, j in zip(self.a, self.j))
-        big_a = np.exp(la)
-        am1 = np.asarray(np.expm1(la))
-        root = np.sqrt(am1 * (big_a + 1.0))
-        out = np.asarray(
-            np.polynomial.polynomial.polyval(big_a, self.poly) * root
-            + self.arcosh * np.log1p(am1 + root)
-        )
-        self._read_near(am1, out)
-        return out
-
-    def _read_near(self, am1: np.ndarray, out: np.ndarray) -> None:
-        """Overwrite out with even-d W(1 + x) from its series where x = am1 < near_cut."""
-        near = am1 < self.near_cut
-        if np.any(near):
-            x = am1[near]
-            series = np.full_like(x, self.near[-1])
-            for c in self.near[-2::-1]:
-                series *= x
-                series += c
-            series *= np.sqrt(x)
-            series *= x**self.near_int
-            out[near] = series
+    def read(self, la: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W(A), W'(A) A) at A = e^la, la > 0, from x = expm1(la)."""
+        x = np.expm1(la)
+        return self._read(1.0 + x, x)
 
     def from_a(self, big_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W(A), W'(A) A) for even d from A itself: one square root, one log.
+        """(W(A), W'(A) A) from A >= 1 itself; x = A - 1 is exact for A <= 2."""
+        return self._read(big_a, np.maximum(big_a - 1.0, 1e-300))
 
-        Below A - 1 = near_cut, W is read from value's series in x = A - 1,
-        a subtraction that is exact for A <= 2; the closed form cancels there.
-        """
-        am1 = np.maximum(big_a - 1.0, 1e-300)
-        root = np.sqrt(am1 * (big_a + 1.0))
-        poly = np.full_like(big_a, self.poly[-1])
-        for c in self.poly[-2::-1]:
-            poly = poly * big_a + c
-        cube = big_a * big_a * big_a
-        slope = cube / root if self.d == 2 else root ** (self.d - 3) * cube
-        w = poly * root + self.arcosh * np.log1p(am1 + root)
-        self._read_near(am1, w)
-        return w, slope
-
-    def slope(self, la: np.ndarray) -> np.ndarray:
-        """W'(A) A = (A^2 - 1)^((d-3)/2) A^3 at A = e^la > 1."""
+    def _read(self, big_a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W, W'A) at A = big_a = 1 + x: odd d by the series in x, even d by the
+        closed form and, below near_cut, the series."""
+        slope = big_a * big_a
+        slope *= big_a
         if self.odd:
-            return sum(w * np.exp(j * la) for w, j in zip(self.w, self.j))
-        big_a = np.exp(la)
-        root = np.sqrt(np.expm1(la) * (big_a + 1.0))
-        return root ** (self.d - 3) * big_a**3
+            w = _horner(self.near, x)
+            if self.d == 3:
+                w *= x
+            else:
+                w *= x ** ((self.d - 1) // 2)
+                slope *= (x * (2.0 + x)) ** ((self.d - 3) // 2)
+            return w, slope
+        root = np.sqrt(x * (big_a + 1.0))
+        w = _horner(self.poly, big_a)
+        w *= root
+        w += self.arcosh * np.log1p(x + root)
+        near = x < self.near_cut
+        if np.any(near):
+            xn = x[near]
+            w[near] = _horner(self.near, xn) * np.sqrt(xn) * xn ** ((self.d - 1) // 2)
+        slope *= root ** (self.d - 3)
+        return w, slope
 
     def power(self, s: float, llo, lhi, lref):
         """A_ref^-s int_lo^hi (W(A), W'(A) A) A^(s-1) dA for 1 <= lo <= hi <= inf.
@@ -264,8 +249,9 @@ class _LayerKernel:
                     _GL32_W * 2.0 * span * _GL32_X
                     * np.exp((s - 1.0) * la - s * lref[band][:, None])
                 )
-                val[band] += np.sum(weight * self.value(la), axis=-1)
-                der[band] += np.sum(weight * self.slope(la), axis=-1)
+                w_val, w_der = self.read(la)
+                val[band] += np.sum(weight * w_val, axis=-1)
+                der[band] += np.sum(weight * w_der, axis=-1)
         return val, der
 
 
@@ -273,9 +259,7 @@ def _psi(y: np.ndarray) -> np.ndarray:
     """y - log(1 + y), by its series where the difference cancels."""
     small = np.abs(y) < 0.1
     ys = np.where(small, y, 0.0)
-    series = np.zeros_like(ys)
-    for k in range(17, 1, -1):
-        series = series * ys + (-1.0) ** k / k
+    series = _horner((-1.0) ** np.arange(16) / np.arange(2, 18), ys)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = y - np.log1p(y)
     return np.where(small, series * ys**2, direct)
@@ -329,7 +313,7 @@ class _PeakKernel:
         y = mid[:, None] + half[:, None] * np.sin(theta)
         la = np.maximum((q[:, None] ** 2 - _psi(y)) / m, 1e-300)
         weight = math.pi * _GL48_W * half[:, None] * np.cos(theta) * np.exp(y / m)
-        k_val = np.sum(weight * ker.value(la), axis=1)
+        k_val = np.sum(weight * ker.read(la)[0], axis=1)
         cheb = np.polynomial.chebyshev.chebfit(x, k_val / q**self.d, n - 1)
         # keep the terms above rounding, at least two (a read takes x from
         # the second row of its powers): few on the short intervals of
@@ -627,9 +611,9 @@ class _InversionLayerCake:
         if self.phin > 0:
             lan = (math.log(self.phin) - lt) / m
             if abs(self.kappa) < 1e-12:
-                pos = np.maximum(lan, 1e-300)
-                val += np.where(lan > 0, ker.value(pos), 0.0) / self.rn
-                der += np.where(lan > 0, ker.slope(pos), 0.0) / self.rn
+                w_val, w_der = ker.read(np.maximum(lan, 1e-300))
+                val += np.where(lan > 0, w_val, 0.0) / self.rn
+                der += np.where(lan > 0, w_der, 0.0) / self.rn
             else:
                 s = -1.0 / self.kappa
                 if self.kappa < 0:
@@ -763,7 +747,10 @@ class _InversionLayerCake:
             step, jac = span * _GL8_X**2, 2.0 * np.abs(span) * _GL8_X * _GL8_W
         la = np.maximum(step + np.log1p(beta[:, None] * step / g_star[:, None]) / m, 1e-300)
         weight = jac * np.exp(-(u_star[:, None] + step))
-        return np.sum(weight * ker.value(la), axis=1), np.sum(weight * ker.slope(la), axis=1)
+        w_val, w_der = ker.read(la)
+        w_val *= weight
+        w_der *= weight
+        return w_val.sum(axis=1), w_der.sum(axis=1)
 
     def levels_at(self, measures: np.ndarray) -> np.ndarray:
         """The levels t with d(t) = measures, by bracketed Newton in log t.
@@ -861,11 +848,12 @@ def competing_step(
     the ball volumes of the output radii. The output tail exponent is k+1,
     as for s_symmetry. Without out_radii the output lands on g's own grid.
 
-    rho_grid and s_grid, the field grid of the former step, are accepted for
-    existing callers and ignored. A tail exponent gamma below k+1 gives an
-    image unbounded near the origin (competing_iterate reports it); at or
-    below (k+1)(d-1)/d its super-level sets are infinite and
-    TailDivergenceError is raised.
+    rho_grid and s_grid, the field grid of the former step, are accepted and
+    ignored. Their one caller is the benchmark's flow workload
+    (perfbench/workloads.py); they go when it stops passing them. A tail
+    exponent gamma below k+1 gives an image unbounded near the origin
+    (competing_iterate reports it); at or below (k+1)(d-1)/d its super-level
+    sets are infinite and TailDivergenceError is raised.
     """
     del rho_grid, s_grid
     out = g.radii if out_radii is None else np.asarray(out_radii, dtype=float)
@@ -903,8 +891,9 @@ def competing_iterate(
     S-image is unbounded near the origin is reported in the warnings, with
     the raw norm defect norms[1]/norms[0] - 1 of its first step.
 
-    nrho and ns, the field grid of the former step, are accepted for existing
-    callers and ignored.
+    nrho and ns, the field grid of the former step, are accepted and ignored.
+    Their one caller is the benchmark's flow workload
+    (perfbench/workloads.py); they go when it stops passing them.
     """
     del nrho, ns
     mu = lebesgue_measure(params.d)

@@ -139,12 +139,12 @@ _EXP_MAX = 600.0
 _EPS = float(np.finfo(float).eps)
 
 
-def _series(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c_l, m_l): (1 - x)^beta ~ sum_l c_l x^l, beta = (k-2)/2, with m_l = k - 2 l.
+def _series(k: int, x_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c_l, m_l): (1 - x)^beta ~ sum_l c_l x^l on [0, x_max], beta = (k-2)/2, m_l = k - 2 l.
 
     The series stops before the first term past l = beta whose bound on
-    [0, _X_FAR], |c_l| _X_FAR^l, is below a quarter ulp; past beta the |c_l|
-    shrink, so the remainder is below eps / (4 (1 - _X_FAR)). For even k that
+    [0, x_max], |c_l| x_max^l, is below a quarter ulp; past beta the |c_l|
+    shrink, so the remainder is below eps / (4 (1 - x_max)). For even k that
     term is the first zero one, l = k/2, and the sum is exact for x <= 1.
     """
     beta = (k - 2) / 2.0
@@ -152,9 +152,22 @@ def _series(k: int) -> tuple[np.ndarray, np.ndarray]:
     while True:
         n = len(c)
         nxt = c[-1] * (n - 1 - beta) / n
-        if n > beta and abs(nxt) * _X_FAR**n <= _EPS / 4:
+        if n > beta and abs(nxt) * x_max**n <= _EPS / 4:
             return np.array(c), k - 2.0 * np.arange(n)
         c.append(nxt)
+
+
+def _horner(coef, x: np.ndarray) -> np.ndarray:
+    """sum_n coef[n] x^n, lowest power first, by Horner in one array.
+
+    The coefficients may be arrays that broadcast against x.
+    """
+    acc = np.empty(np.broadcast(coef[-1], x).shape)
+    acc[...] = coef[-1]
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 # Taylor coefficients 1/(n+2)! of _phi2 below |x| = 1: the first one left
@@ -166,12 +179,7 @@ def _phi2(x: np.ndarray) -> np.ndarray:
     """(e^x - 1 - x)/x^2 = int_0^1 (1 - t) e^(x t) dt, by Taylor series where |x| < 1."""
     out = np.empty_like(x)
     small = np.abs(x) < 1.0
-    xs = x[small]
-    acc = np.full_like(xs, _PHI2_COEF[-1])
-    for c in _PHI2_COEF[-2::-1]:
-        acc *= xs
-        acc += c
-    out[small] = acc
+    out[small] = _horner(_PHI2_COEF, x[small])
     xl = x[~small]
     out[~small] = (np.expm1(xl) - xl) / xl**2
     return out
@@ -186,7 +194,7 @@ def _piece_moments(radii: np.ndarray, k: int) -> np.ndarray:
     int (1 - t) rho^m du = w r_j^m phi2(m w) and int t rho^m du =
     w r_{j+1}^m phi2(-m w) over the piece, t = (u - u_j)/w, w = log(r_{j+1}/r_j).
     """
-    c, m = _series(k)
+    c, m = _series(k, _X_FAR)
     w = np.log(radii[1:] / radii[:-1])
     return c[:, None, None] * w * _phi2(m[:, None, None] * np.array([[1.0], [-1.0]]) * w)
 
@@ -211,11 +219,7 @@ def _row_contributions(radii: np.ndarray, k: int, r: float, moments: np.ndarray)
     cw = _GL6_W[:, None] * ds * s ** (k - 1)
     # the far pieces' left and right nodes together, Horner in x_j and x_{j+1}
     xs = np.stack([x[n_near:-1], x[n_near + 1 :]])
-    far = moments[:, :, j_first + n_near :]
-    acc = far[-1].copy()
-    for mom in far[-2::-1]:
-        acc *= xs
-        acc += mom
+    acc = _horner(moments[:, :, j_first + n_near :], xs)
     rk = rj[n_near:] ** k
     a = np.concatenate([(cw * (1.0 - frac)).sum(axis=0), acc[0] * rk[:-1]])
     b = np.concatenate([(cw * frac).sum(axis=0), acc[1] * rk[1:]])
@@ -254,7 +258,7 @@ def _kernel_row(k: int, f: RadialProfile):
     n_band = n_near + 1
     far = None
     if n_band < len(row):
-        c, m = _series(k)
+        c, m = _series(k, _X_FAR)
         # powers about a middle node rc: r_i^(2l) r_j^(k-2l) = rc^k (r_i/rc)^(2l) (r_j/rc)^(k-2l)
         rc = radii[len(radii) // 2]
         two_l = k - m
@@ -281,13 +285,10 @@ def _banded_lags(a: np.ndarray, band: np.ndarray) -> np.ndarray:
     return np.correlate(np.concatenate([a, np.zeros(len(band) - 1)]), band, "valid")
 
 
-# terms of the odd-k tail series at y <= _TAIL_SERIES_Y: |C((k-2)/2, n)|
-# <= 3/2, so the n-th term is at most 3/2 64^-n of the first, and the sum,
-# a mean of (1 - y t)^((k-2)/2) over t in [0, 1], is at least (63/64)^(3/2)
-# of it. Past r_max/8 betainc costs less than the terms that the series
-# would need there. For even k the series is a finite sum, exact at every y.
+# the odd-k tail is read by its series at y <= _TAIL_SERIES_Y: past r_max/8
+# betainc costs less than the terms that the series would need there. For
+# even k the series is a finite sum, exact at every y.
 _TAIL_SERIES_Y = 1.0 / 64.0
-_TAIL_TERMS = 10
 
 
 def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -> np.ndarray:
@@ -297,27 +298,22 @@ def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -
     (1/2) B(k/2, (gamma-k)/2) I_y((gamma-k)/2, k/2) with y = (r/r_max)^2. For
     y <= 1/64 that is the incomplete-Beta series (DLMF 8.17.7, term by term)
 
-        (r_max^k / 2) sum_n C((k-2)/2, n) (-y)^n / ((gamma-k)/2 + n),
+        (r_max^k / 2) sum_n c_n y^n / ((gamma-k)/2 + n),
 
-    read by Horner. For even k it ends after k/2 terms and is read at every
-    r <= r_max; for odd k it is cut after _TAIL_TERMS terms and read only up
-    to r_max/8. The other radii, among them out_radii beyond the grid (y
-    clipped to 1), read the closed form by scipy's betainc.
+    c_n the binomial coefficients of (1 - y)^((k-2)/2) from _series, cut by
+    its rule on [0, 1/64] (8 or 9 terms for odd k; the terms left out sum
+    below about a quarter ulp of the first) and read by Horner. For even k
+    the sum ends after k/2 terms and is read at every r <= r_max; for odd k
+    only up to r_max/8. The other radii, among them out_radii beyond the
+    grid (y clipped to 1), read the closed form by scipy's betainc.
     """
     r_max = radii[-1]
     a, b = (gamma - k) / 2.0, k / 2.0
     y = np.clip((out_r / r_max) ** 2, 0.0, 1.0)
     series = out_r <= r_max if k % 2 == 0 else y <= _TAIL_SERIES_Y
     out = np.empty_like(y)
-    n = np.arange(k // 2 if k % 2 == 0 else _TAIL_TERMS)
-    # C(b - 1, n) / (a + n), the binomials by their ratio (b - n) / n
-    coef = np.cumprod(np.concatenate([[1.0], (b - n[1:]) / n[1:]])) / (a + n)
-    ys = -y[series]
-    acc = np.full_like(ys, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= ys
-        acc += c
-    out[series] = 0.5 * r_max**k * acc
+    c, _ = _series(k, _TAIL_SERIES_Y)
+    out[series] = 0.5 * r_max**k * _horner(c / (a + np.arange(len(c))), y[series])
     rest = ~series
     if np.any(rest):
         half_beta = 0.5 * sf.beta(b, a)

@@ -285,24 +285,44 @@ def _log_gauss_constant(n: int) -> float:
     )
 
 
-# for n = 1 .. _GL_MAX nodes: the largest 1/delta and the largest c they read
-_ZERO_REACH = tuple(2.0 / (math.cosh(_LOG_EPS / (2 * n)) - 1.0) for n in range(1, _GL_MAX + 1))
-_RATE_REACH = tuple(
+# for n = 1 .. _GL_MAX nodes: the largest 1/delta and the largest c they
+# read, both increasing in n
+_ZERO_REACH = np.array([
+    2.0 / (math.cosh(_LOG_EPS / (2 * n)) - 1.0) for n in range(1, _GL_MAX + 1)
+])
+_RATE_REACH = np.array([
     math.exp(-(_LOG_EPS + _log_gauss_constant(n)) / (2 * n)) for n in range(1, _GL_MAX + 1)
-)
+])
 
 
-def _gl_order(inv_delta: float, rate: float, extra: int = 0) -> int:
+def _gl_order(inv_delta, rate, extra: int = 0):
     """Fewest nodes that read pieces with 1/delta <= inv_delta and c <= rate.
 
     extra nodes go to a polynomial factor of degree <= 2 extra, whose
-    derivatives take that many orders off the rate bound. The caller has
-    cut its pieces so that _GL_MAX nodes reach them.
+    derivatives take that many orders off the rate bound. Arrays take one
+    order per entry, _GL_MAX where no rule reads (their caller has cut such
+    panels below e^-_LOG_EPS of their segment). A scalar caller has cut its
+    pieces so that _GL_MAX nodes reach them, and one that they do not reach
+    raises ValueError.
     """
-    for n in range(extra + 1, _GL_MAX + 1):
-        if inv_delta <= _ZERO_REACH[n - 1] and rate <= _RATE_REACH[n - 1 - extra]:
-            return n
-    raise ValueError(f"no Gauss rule up to {_GL_MAX} nodes reads 1/delta={inv_delta}, c={rate}")
+    n = 1 + np.maximum(_ZERO_REACH.searchsorted(inv_delta), extra + _RATE_REACH.searchsorted(rate))
+    if n.ndim:
+        return np.minimum(n, _GL_MAX)
+    if n > _GL_MAX:
+        raise ValueError(
+            f"no Gauss rule up to {_GL_MAX} nodes reads 1/delta={inv_delta}, c={rate}"
+        )
+    return int(n)
+
+
+def _graded_cuts(k: int, toward_lo: int, toward_hi: int) -> np.ndarray:
+    """Panel ends on [0, 1]: k equal panels, the first halved toward_lo times
+    toward 0 and the last toward_hi times toward 1."""
+    return np.unique(np.concatenate([
+        np.ldexp(1.0 / k, -np.arange(toward_lo, 0, -1)),
+        np.arange(k + 1) / k,
+        1.0 - np.ldexp(1.0 / k, -np.arange(1, toward_hi + 1)),
+    ]))
 
 
 def _integer_power(q: float) -> bool:
@@ -449,7 +469,7 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
             math.log2(max(inv_max / k, 1.0)),
             (_LOG_EPS + m * widest) / ((p + 1.0) * math.log(2.0)) + 1.0,
         ))
-    s = np.concatenate([[0.0], np.ldexp(1.0 / k, np.arange(-halvings, 0)), np.arange(1, k + 1) / k])
+    s = _graded_cuts(k, halvings, 0)
     pu = np.multiply.outer(s, u1 - u0)
     pu += u0
     pv = np.multiply.outer(1.0 - s, v0)
@@ -475,28 +495,6 @@ def _tail_excess(gamma: float, p: float, m: int) -> float:
     """
     gp = gamma * p
     return gp - m if gp - m >= m / 16 else float(Fraction(gamma) * Fraction(p) - m)
-
-
-def _profile_norm_power(f: RadialProfile, p: float, measure: WeightedMeasure) -> float:
-    """int f^p dmeasure for the canonical interpretation.
-
-    The pieces are read by _pieces_power_sum; head and tail are closed form,
-    and the tail needs tail_exponent * p > m.
-    """
-    m = measure.weight_exponent
-    u = f.log_radii
-    v = f.values
-    total = v[0] ** p * f.radii[0] ** m / m
-    total += _pieces_power_sum(u[:-1], u[1:], v[:-1], v[1:], p, m)
-    if v[-1] > 0:
-        g = f.tail_exponent
-        if g * p <= m:
-            raise TailDivergenceError(
-                f"int f^p r^(m-1) dr diverges at infinity: tail exponent {g}, "
-                f"p={p}, weight exponent {m}"
-            )
-        total += v[-1] ** p * f.radii[-1] ** m / _tail_excess(g, p, m)
-    return measure.prefactor * total
 
 
 def _unmatched_tail_power(
@@ -1249,7 +1247,8 @@ def _require_field_measure(field: AxiSymField, measure: WeightedMeasure) -> None
 def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) -> float:
     """L^p norm of a profile or field against the given measure.
 
-    Profiles integrate their canonical interpretation piece by piece, each
+    Profiles are read as lp_distance reads f - g, with g = 0
+    (_difference_power): the canonical interpretation piece by piece, each
     piece by the fewest Gauss-Legendre nodes that its zero and its rate
     allow at rounding, on panels graded toward the zero where one rule of 12
     nodes falls short (see _pieces_power_sum). Fields
@@ -1262,7 +1261,11 @@ def lp_norm(f: RadialProfile | AxiSymField, p: float, measure: WeightedMeasure) 
     if isinstance(f, AxiSymField):
         _require_field_measure(f, measure)
         return _field_norm_power(f, p) ** (1.0 / p)
-    return _profile_norm_power(f, p, measure) ** (1.0 / p)
+    tail = (f.values[-1], f.tail_exponent)
+    power = _difference_power(
+        f.radii, f.log_radii, f.values, tail, (0.0, f.tail_exponent), p, measure.weight_exponent
+    )
+    return (measure.prefactor * power) ** (1.0 / p)
 
 
 def _require_profile(f, name: str) -> None:
@@ -1466,8 +1469,6 @@ _GL_START = np.array([n * (n - 1) // 2 for n in range(_GL_MAX + 1)])
 _GL_PACKED_X, _GL_PACKED_W = (
     np.concatenate([_gl01(n)[i] for n in range(1, _GL_MAX + 1)]) for i in (0, 1)
 )
-_ZERO_REACH_A = np.array(_ZERO_REACH)
-_RATE_REACH_A = np.array(_RATE_REACH)
 
 
 def _segment_nodes(lo, hi, inv_zero, rate, q: float):
@@ -1503,11 +1504,7 @@ def _segment_nodes(lo, hi, inv_zero, rate, q: float):
         if beyond > 1.0:
             cap = math.ceil((_LOG_EPS + _RATE_REACH[-1]) / ((1.0 + q) * math.log(2.0))) + 1
             toward_hi = cap if beyond == math.inf else min(math.ceil(math.log2(beyond)), cap)
-        cuts = np.unique(np.concatenate([
-            np.ldexp(1.0 / k, -np.arange(toward_lo, 0, -1)),
-            np.arange(k + 1) / k,
-            1.0 - np.ldexp(1.0 / k, -np.arange(1, toward_hi + 1)),
-        ]))
+        cuts = _graded_cuts(k, toward_lo, toward_hi)
         # a row of panels per far segment: the first keeps the segment's
         # place (it starts at lo), the others follow all segments
         f_lo, f_hi, f_w = lo[far, None], hi[far, None], width[far, None]
@@ -1525,11 +1522,7 @@ def _segment_nodes(lo, hi, inv_zero, rate, q: float):
         p_hi[far], p_zero[far], p_rate[far] = b[:, 0], zero[:, 0], panel_rate[:, 0]
         seg = np.concatenate([seg, np.repeat(far, len(cuts) - 2)])
     p_w = p_hi - p_lo
-    # panels that no rule reaches lie below e^-_LOG_EPS of their segment
-    n = np.maximum(
-        _ZERO_REACH_A.searchsorted(np.fmax(p_w / p_lo, p_zero)), _RATE_REACH_A.searchsorted(p_rate)
-    )
-    n = np.minimum(n + 1, _GL_MAX)
+    n = _gl_order(np.fmax(p_w / p_lo, p_zero), p_rate)
     at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - _GL_START[n], n)
     width_at = np.repeat(p_w, n)
     t = np.repeat(p_lo, n) + width_at * _GL_PACKED_X[at]
@@ -1737,17 +1730,16 @@ def interpolation_check(
 def lp_distance(
     f: RadialProfile, g: RadialProfile, p: float, measure: WeightedMeasure
 ) -> float:
-    """||f - g||_p for two profiles, exact for the PL interpretation.
+    """||f - g||_p for two profiles.
 
-    Node sets are merged, and the pieces of the difference are read by
-    _pieces_power_sum, which cuts each at its sign change. The far tails are
-    closed form when the exponents match; otherwise _unmatched_tail_power
-    splits them where the two power laws cross. Profiles on equal radii, as
-    along the flow, skip the merge: their radii, log radii and values are
-    the merged grid and its values bit for bit.
+    Exact for the canonical reading when both profiles share their radii,
+    as along the flow: those radii, log radii and values are read as they
+    are. Profiles on different radii are read on the union of their nodes,
+    each through its own evaluate; the profile whose grid ends first is
+    then read as linear in log r between the other's nodes beyond its last
+    one, not as its power tail (see _difference_power for the rest).
     """
     _check_exponent(p)
-    m = measure.weight_exponent
     if np.array_equal(f.radii, g.radii):
         r_all, u, vf, vg = f.radii, f.log_radii, f.values, g.values
     else:
@@ -1755,25 +1747,38 @@ def lp_distance(
         u = np.log(r_all)
         vf = np.asarray(f.evaluate(r_all), dtype=float)
         vg = np.asarray(g.evaluate(r_all), dtype=float)
-    diff = vf - vg
+    power = _difference_power(
+        r_all, u, vf - vg, (vf[-1], f.tail_exponent), (vg[-1], g.tail_exponent),
+        p, measure.weight_exponent,
+    )
+    return (measure.prefactor * power) ** (1.0 / p)
+
+
+def _difference_power(r, u, diff, f_tail, g_tail, p: float, m: int) -> float:
+    """int |f - g|^p r^(m-1) dr for two readings on the radii r, log radii u.
+
+    diff = f - g at r, and f_tail, g_tail are each profile's (value at r[-1],
+    tail exponent); lp_norm reads f with g = 0. The pieces of the difference
+    are read by _pieces_power_sum, which cuts each at its sign change, and
+    the constant head is closed form. So are the far tails when the
+    exponents match; otherwise _unmatched_tail_power splits them where the
+    two power laws cross.
+    """
     total = _pieces_power_sum(u[:-1], u[1:], diff[:-1], diff[1:], p, m)
-    total += abs(vf[0] - vg[0]) ** p * r_all[0] ** m / m
-    r_max = r_all[-1]
-    tf, tg = f.tail_exponent, g.tail_exponent
-    af = vf[-1]
-    ag = vg[-1]
+    total += abs(diff[0]) ** p * r[0] ** m / m
+    (af, tf), (ag, tg) = f_tail, g_tail
     if af > 0 or ag > 0:
         if abs(tf - tg) < 1e-12 or af == 0 or ag == 0:
             gam = tf if af > 0 else tg
             if gam * p <= m:
                 raise TailDivergenceError(
-                    f"||f - g||_p tail diverges: exponent {gam}, p={p}, weight {m}"
+                    f"the L^p tail diverges: exponent {gam}, p={p}, weight exponent {m}"
                 )
-            total += abs(af - ag) ** p * r_max**m / _tail_excess(gam, p, m)
+            total += abs(af - ag) ** p * r[-1] ** m / _tail_excess(gam, p, m)
         else:
             if min(tf, tg) * p <= m:
                 raise TailDivergenceError(
-                    f"||f - g||_p tail diverges: exponents ({tf}, {tg}), p={p}, weight {m}"
+                    f"the L^p tail diverges: exponents ({tf}, {tg}), p={p}, weight exponent {m}"
                 )
-            total += _unmatched_tail_power(af, tf, ag, tg, p, m, r_max)
-    return (measure.prefactor * total) ** (1.0 / p)
+            total += _unmatched_tail_power(af, tf, ag, tg, p, m, r[-1])
+    return total

@@ -100,6 +100,17 @@ def test_extremizer_is_fixed_point_even_d(k, d):
     assert rep.distances[0] == 0.0
 
 
+@pytest.mark.parametrize("k, d", ((1, 9), (1, 11)))
+def test_high_odd_d_step_keeps_the_extremizer(k, d):
+    # on the default grid the step moves h by its interpolation error: 1.6e-4
+    # at (1, 9) and 8.2e-4 at (1, 11). With W and W'A read as sums of exp
+    # terms, which cancel near A = 1, it moved h by 2.3e-3 and 7.0e-2
+    pr = TransformParams(k, d)
+    h = extremizer_profile(ExtremizerSpec(pr), default_radial_grid(2048))
+    g = competing_step(h, pr)
+    assert np.max(np.abs(g.values / h.values - 1.0)) <= 1e-3
+
+
 def test_competing_step_unbounded_image():
     # tail exponent 1.8 < k + 1 = 2 at (1, 3): S g is unbounded near the
     # origin, yet 1.8 p > d keeps its super-level sets finite. For g = 1 on
@@ -269,7 +280,7 @@ def test_even_d_layer_kernel_value_near_one(d):
 
     ker = _LayerKernel(d)
     la = np.concatenate([np.geomspace(1e-10, 1.0, 41), [0.39, 0.4, 0.41, 0.45]])
-    for la_i, w in zip(la, ker.value(la)):
+    for la_i, w in zip(la, ker.read(la)[0]):
         x = math.expm1(la_i)
         top = math.log1p(x + math.sqrt(x * (2.0 + x)))
         want = integrate.quad(
@@ -302,11 +313,43 @@ def test_even_d_layer_kernel_from_a_near_one(d):
         assert abs(w_i / want - 1.0) <= 1e-14, (x, w_i, want)
 
 
+@pytest.mark.parametrize("d", range(2, 14))
+def test_layer_kernel_reads_w_and_its_slope_to_rounding(d):
+    # W(1 + x) = int_0^x (s (2 + s))^((d-3)/2) (1 + s)^2 ds, a positive
+    # integrand, by 50-digit mpmath quad in s = x t^2, where it is smooth at
+    # s = 0 and x^((d-1)/2) comes out of it, and W'(A) A =
+    # (x (2 + x))^((d-3)/2) (1 + x)^3, from la (x = expm1(la)) and, for even
+    # d, whose band reads A itself, from A. Odd d read W and W'A as sums of
+    # exp terms before, which cancel near A = 1: against this reference W
+    # was off by 6.1e-7 at d = 5 and 9.7e33 at d = 13
+    import mpmath
+
+    from kplane.flow import _LayerKernel
+
+    ker = _LayerKernel(d)
+    la = np.geomspace(1e-10, 3.0, 31)
+    big_a = 1.0 + np.geomspace(1e-10, 0.6, 31)
+    cases = [(ker.read(la), [mpmath.expm1(mpmath.mpf(v)) for v in la])]
+    if d % 2 == 0:
+        cases.append((ker.from_a(big_a), [mpmath.mpf(v) - 1 for v in big_a]))
+    with mpmath.workdps(50):
+        half = mpmath.mpf(d - 3) / 2
+        for (w, slope), xs in cases:
+            for w_i, slope_i, x in zip(w, slope, xs):
+                want_w = x ** (half + 1) * mpmath.quad(
+                    lambda t: 2 * t * (t * t * (2 + x * t * t)) ** half * (1 + x * t * t) ** 2,
+                    [0, 1],
+                )
+                want_slope = (x * (2 + x)) ** half * (1 + x) ** 3
+                assert abs(w_i / want_w - 1) <= 4e-15, (float(x), w_i, float(want_w))
+                assert abs(slope_i / want_slope - 1) <= 4e-15, (float(x), slope_i)
+
+
 def _layer_cake_quad(g, m, t):
     """d(t) of S(embed g) by scipy.integrate.quad on each monotone sub-piece.
 
     The integrand is W((phi/t)^(1/m)) e^-u in u = log sigma, W read by
-    _LayerKernel.value; each part above t is integrated in s, u = u_1 + (u_2 -
+    _LayerKernel.read; each part above t is integrated in s, u = u_1 + (u_2 -
     u_1) s^2 from its lowest phi u_1, which absorbs W's square root at A = 1.
     The head lies below t and the constant-phi tail adds W(A_N)/r_N.
     """
@@ -339,12 +382,12 @@ def _layer_cake_quad(g, m, t):
             def integrand(s, u1=u1, u2=u2, ua=ua, ga=ga, beta=beta):
                 x = u1 + (u2 - u1) * s * s
                 la = max(log_a(x, ua, ga, beta), 0.0)
-                return 2.0 * s * (u2 - u1) * float(ker.value(np.array(la))) * np.exp(-x)
+                return 2.0 * s * (u2 - u1) * float(ker.read(np.array(la))[0]) * np.exp(-x)
 
             total += abs(integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0])
     la_n = log_a(u[-1], u[-1], v[-1], 0.0)
     if la_n > 0:
-        total += float(ker.value(np.array(la_n))) / g.radii[-1]
+        total += float(ker.read(np.array(la_n))[0]) / g.radii[-1]
     return 2.0 * sphere_area(g.d - 1) * total
 
 

@@ -29,3 +29,37 @@ def test_module_all_entries_exist(module):
 def test_unknown_name_raises():
     with pytest.raises(AttributeError, match="no attribute"):
         kplane.no_such_name  # noqa: B018
+
+
+def test_every_private_module_name_is_used():
+    # a private function, class or constant at module level that nothing in
+    # the package reads again is dead code
+    import ast
+    from pathlib import Path
+
+    sources = sorted(Path(kplane.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in sources}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in found for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{name}:{target}" for target in targets
+                if target.startswith("_") and not target.startswith("__") and target not in used
+            ]
+    assert dead == []

@@ -960,6 +960,63 @@ def test_lorentz_norms_are_exact_on_profiles_spanning_many_decades():
     assert worst_pr <= 1e-13
 
 
+def _with_inserted_nodes(f, per_piece=32, head=8):
+    """f with per_piece nodes inserted in each piece, linearly in log r, and
+    head nodes at v_0 below r_0: the same canonical reading."""
+    u, v = f.log_radii, f.values
+    t = np.arange(1, per_piece + 1) / (per_piece + 1)
+    u_in = u[:-1, None] + (u[1:] - u[:-1])[:, None] * t
+    v_in = v[:-1, None] + (v[1:] - v[:-1])[:, None] * t
+    u_all = np.concatenate([u[0] - np.arange(head, 0, -1) / 4.0, u, u_in.ravel()])
+    v_all = np.concatenate([np.full(head, v[0]), v, v_in.ravel()])
+    order = np.argsort(u_all, kind="stable")
+    return RadialProfile(f.d, np.exp(u_all[order]), v_all[order], f.tail_exponent)
+
+
+@pytest.mark.parametrize(
+    "functional, bound",
+    (("lp_norm", 2e-15), ("lp_distance", 2e-15), ("distribution_at", 1e-12), ("lorentz", 1e-14)),
+)
+def test_node_insertion_leaves_the_functionals_unchanged(functional, bound):
+    # inserting nodes on a piece, at values linear in log r, and head nodes
+    # at v_0 below r_0 leaves the canonical reading as it is, so a
+    # functional that is exact for the reading keeps its value to rounding.
+    # The profiles are test_lorentz_norms_are_exact_on_profiles_spanning_
+    # many_decades' first 60; lp_distance reads each against a second
+    # profile on its radii, both refined on one grid. distribution_at reads
+    # 50 levels from e^-2 of the least node value up to the largest, and
+    # the Lorentz norms r = p, 2p and inf. Worst changes: 4.4e-16, 6.7e-16,
+    # 8.7e-14 and 3.1e-15
+    rng = np.random.default_rng(11)
+    other = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        p = float(rng.uniform(1.2, 3))
+        r = np.unique(rng.uniform(0.1, 10, rng.integers(3, 40)))
+        v = np.exp(-rng.uniform(0, 30, len(r)) * rng.uniform(0, 1, len(r)) ** 2)
+        f = RadialProfile(d, r, v, d / p + float(rng.uniform(0.05, 3)))
+        mu = lebesgue_measure(d)
+        fine = _with_inserted_nodes(f)
+        if functional == "lp_norm":
+            got, want = lp_norm(fine, p, mu), lp_norm(f, p, mu)
+        elif functional == "lp_distance":
+            w = np.exp(-other.uniform(0, 30, len(r)) * other.uniform(0, 1, len(r)) ** 2)
+            g = RadialProfile(d, r, w, d / p + float(other.uniform(0.05, 3)))
+            got = lp_distance(fine, _with_inserted_nodes(g), p, mu)
+            want = lp_distance(f, g, p, mu)
+        elif functional == "distribution_at":
+            levels = np.exp(other.uniform(np.log(v.min()) - 2.0, np.log(v.max()), 50))
+            got, want = distribution_at(fine, levels, mu), distribution_at(f, levels, mu)
+        else:
+            rs = (p, 2 * p, math.inf)
+            got = np.array([lorentz_quasinorm(fine, p, q, mu) for q in rs])
+            want = np.array([lorentz_quasinorm(f, p, q, mu) for q in rs])
+        worst = max(worst, float(np.max(np.abs(np.asarray(got) / want - 1.0))))
+    print(f"{functional}: worst change under node insertion {worst:.2e}")
+    assert worst <= bound
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
 def test_tails_near_divergence_are_read_to_rounding(eps):
     # one node under r^2 dr, whose tail term v^p r^3 / (gamma p - 3) nearly
