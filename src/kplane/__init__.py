@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 _SUBMODULES = {
     "params",
     "profiles",
+    "quadrature",
     "operators",
     "flow",
     "pointfields",

@@ -30,8 +30,6 @@ from .errors import TailDivergenceError
 from .params import TransformParams, sphere_area
 from .profiles import (
     RadialProfile,
-    _gl01,
-    _pair_blocks,
     default_radial_grid,
     lebesgue_measure,
     lp_distance,
@@ -39,11 +37,11 @@ from .profiles import (
 )
 from .operators import (
     ExtremizerSpec,
-    _horner,
     _unbounded_image_warning,
     extremizer_profile,
     functional_ratio,
 )
+from .quadrature import binomial, gl01, horner, pair_blocks
 
 __all__ = [
     "ConvergenceReport",
@@ -88,10 +86,10 @@ _SERIES_LOWEST = -28
 _NEAR_ONE = 0.5
 _NEAR_TERMS = 30
 # Gauss rules on [0, 1]
-_GL12_X, _GL12_W = _gl01(12)  # moments of whole pieces
-_GL8_X, _GL8_W = _gl01(8)  # crossed pieces and the band below the split
-_GL32_X, _GL32_W = _gl01(32)  # head and tail below the split
-_GL48_X, _GL48_W = _gl01(48)  # the peak kernel at its fit nodes
+_GL12_X, _GL12_W = gl01(12)  # moments of whole pieces
+_GL8_X, _GL8_W = gl01(8)  # crossed pieces and the band below the split
+_GL32_X, _GL32_W = gl01(32)  # head and tail below the split
+_GL48_X, _GL48_W = gl01(48)  # the peak kernel at its fit nodes
 # a piece whose interior maximum rises at most this much in log phi above its
 # higher end is read through the peak kernel at the levels above that end
 _PEAK_LOG_RISE = 0.25
@@ -141,11 +139,9 @@ class _LayerKernel:
         self.odd = bool(d % 2)
         half = (d - 3) / 2.0
         n_terms = (d - 1) // 2 if self.odd else (d - _SERIES_LOWEST) // 2 + 1
-        w = np.ones(n_terms)
-        for n in range(1, n_terms):
-            w[n] = -w[n - 1] * (half - (n - 1)) / n
+        # (1 - y^-2)^((d-3)/2) by its binomial series in y^-2
+        w = self.w = binomial(half, n_terms)
         self.j = d - 2.0 * np.arange(n_terms)
-        self.w = w
         nonzero = self.j != 0
         self.a = np.where(nonzero, w / np.where(nonzero, self.j, 1.0), 0.0)
         self.b = float(w[~nonzero].sum())
@@ -158,10 +154,8 @@ class _LayerKernel:
             self.near_cut = min(_NEAR_ONE, 0.1 ** (2.0 / (d - 2)))
             # the terms fall as (x/2)^n: keep those above 1e-18 at the cut
             n_near = min(_NEAR_TERMS, math.ceil(-18.0 / math.log10(self.near_cut / 2.0)))
-        root2 = np.ones(n_near)
-        root2[0] = 2.0**half
-        for n in range(1, n_near):
-            root2[n] = root2[n - 1] * (half - (n - 1)) / (2.0 * n)
+        # (2 + x)^((d-3)/2) = 2^((d-3)/2) (1 - (-x/2))^((d-3)/2)
+        root2 = binomial(half, n_near) * (-0.5) ** np.arange(n_near) * 2.0**half
         self.near = np.convolve(root2, [1.0, 2.0, 1.0])[:n_near] / (
             np.arange(n_near) + (d - 1) / 2.0
         )
@@ -199,7 +193,7 @@ class _LayerKernel:
         slope = big_a * big_a
         slope *= big_a
         if self.odd:
-            w = _horner(self.near, x)
+            w = horner(self.near, x)
             if self.d == 3:
                 w *= x
             else:
@@ -207,13 +201,13 @@ class _LayerKernel:
                 slope *= (x * (2.0 + x)) ** ((self.d - 3) // 2)
             return w, slope
         root = np.sqrt(x * (big_a + 1.0))
-        w = _horner(self.poly, big_a)
+        w = horner(self.poly, big_a)
         w *= root
         w += self.arcosh * np.log1p(x + root)
         near = x < self.near_cut
         if np.any(near):
             xn = x[near]
-            w[near] = _horner(self.near, xn) * np.sqrt(xn) * xn ** ((self.d - 1) // 2)
+            w[near] = horner(self.near, xn) * np.sqrt(xn) * xn ** ((self.d - 1) // 2)
         slope *= root ** (self.d - 3)
         return w, slope
 
@@ -259,7 +253,7 @@ def _psi(y: np.ndarray) -> np.ndarray:
     """y - log(1 + y), by its series where the difference cancels."""
     small = np.abs(y) < 0.1
     ys = np.where(small, y, 0.0)
-    series = _horner((-1.0) ** np.arange(16) / np.arange(2, 18), ys)
+    series = horner((-1.0) ** np.arange(16) / np.arange(2, 18), ys)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = y - np.log1p(y)
     return np.where(small, series * ys**2, direct)
@@ -592,7 +586,7 @@ class _InversionLayerCake:
         stop = np.minimum(
             ts.searchsorted(self.hi, side="left"), ts.searchsorted(self.cap, side="right")
         )
-        for piece, level in _pair_blocks(first, stop, n, per_pair=len(_GL8_X)):
+        for piece, level in pair_blocks(first, stop, n, per_pair=len(_GL8_X)):
             v_add, d_add = self._crossed(piece, ts[level], lt[level])
             val += np.bincount(level, weights=v_add, minlength=n)
             der += np.bincount(level, weights=d_add, minlength=n)
@@ -651,7 +645,7 @@ class _InversionLayerCake:
         use = first_block < stop_block
         cut_lo = np.where(use, first_block * _BAND_BLOCK, stop)
         cut_hi = np.where(use, stop_block * _BAND_BLOCK, stop)
-        for level, block in _pair_blocks(
+        for level, block in pair_blocks(
             np.where(use, first_block, 0), np.where(use, stop_block, 0), len(self.block_floor),
             per_pair=_BLOCK_NODES,
         ):
@@ -660,7 +654,7 @@ class _InversionLayerCake:
             val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
             der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
         for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
-            for level, pos in _pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
+            for level, pos in pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
                 piece = self.order[pos]
                 w_val, w_der = ker.from_a(self.band_root[piece] * scale[level, None])
                 wt = self.band_weight[piece]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .params import TransformParams, sphere_area
-from .profiles import _gauss_legendre, _gl01
+from .quadrature import gauss_legendre, gl01
 
 __all__ = [
     "MCEstimate",
@@ -90,7 +90,7 @@ def sample_point_tuple(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 def _gauss_tan(n_nodes: int):
     """Gauss-Legendre rule for int_R g(lambda) dlambda via lambda = tan(phi)."""
-    x, w = _gauss_legendre(n_nodes)
+    x, w = gauss_legendre(n_nodes)
     phi = 0.5 * math.pi * x
     return np.tan(phi), 0.5 * math.pi * w / np.cos(phi) ** 2
 
@@ -154,7 +154,7 @@ def span_integral(f, points: np.ndarray, n_nodes: int = 48) -> float:
         c_star = float(c_star)
         foot = x0 + lam0[0] * e1 + lam0[1] * e2
         l_inv = np.linalg.inv(np.linalg.cholesky(G))
-        xg, wg = _gl01(n_nodes)
+        xg, wg = gl01(n_nodes)
         phi = 0.5 * math.pi * xg
         r = math.sqrt(c_star) * np.tan(phi)
         dr = 0.5 * math.pi * wg * math.sqrt(c_star) / np.cos(phi) ** 2

@@ -14,6 +14,7 @@ Together they drive the competing-symmetries iteration in kplane.flow.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .profiles import (
     AxiSymField,
     RadialProfile,
     WeightedMeasure,
-    _gl01,
     _profile_distribution,
     _rearranged_profile,
     default_radial_grid,
@@ -35,6 +35,7 @@ from .profiles import (
     lp_norm,
     radial_measure,
 )
+from .quadrature import binomial, gl01, horner
 
 __all__ = [
     "ExtremizerSpec",
@@ -47,7 +48,7 @@ __all__ = [
     "concentration_rescale",
 ]
 
-_GL6_X, _GL6_W = _gl01(6)
+_GL6_X, _GL6_W = gl01(6)
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,7 @@ _EXP_MAX = 600.0
 _EPS = float(np.finfo(float).eps)
 
 
+@functools.lru_cache(maxsize=None)
 def _series(k: int, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """(c_l, m_l): (1 - x)^beta ~ sum_l c_l x^l on [0, x_max], beta = (k-2)/2, m_l = k - 2 l.
 
@@ -146,28 +148,18 @@ def _series(k: int, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     [0, x_max], |c_l| x_max^l, is below a quarter ulp; past beta the |c_l|
     shrink, so the remainder is below eps / (4 (1 - x_max)). For even k that
     term is the first zero one, l = k/2, and the sum is exact for x <= 1.
+    The arrays are cached per (k, x_max) and read-only.
     """
     beta = (k - 2) / 2.0
-    c = [1.0]
+    n = 16
     while True:
-        n = len(c)
-        nxt = c[-1] * (n - 1 - beta) / n
-        if n > beta and abs(nxt) * x_max**n <= _EPS / 4:
-            return np.array(c), k - 2.0 * np.arange(n)
-        c.append(nxt)
-
-
-def _horner(coef, x: np.ndarray) -> np.ndarray:
-    """sum_n coef[n] x^n, lowest power first, by Horner in one array.
-
-    The coefficients may be arrays that broadcast against x.
-    """
-    acc = np.empty(np.broadcast(coef[-1], x).shape)
-    acc[...] = coef[-1]
-    for c in coef[-2::-1]:
-        acc *= x
-        acc += c
-    return acc
+        c = binomial(beta, n)
+        for l in range(1, n):
+            if l > beta and abs(c[l]) * x_max**l <= _EPS / 4:
+                c, m = c[:l], k - 2.0 * np.arange(l)
+                c.flags.writeable = m.flags.writeable = False
+                return c, m
+        n *= 2
 
 
 # Taylor coefficients 1/(n+2)! of _phi2 below |x| = 1: the first one left
@@ -179,7 +171,7 @@ def _phi2(x: np.ndarray) -> np.ndarray:
     """(e^x - 1 - x)/x^2 = int_0^1 (1 - t) e^(x t) dt, by Taylor series where |x| < 1."""
     out = np.empty_like(x)
     small = np.abs(x) < 1.0
-    out[small] = _horner(_PHI2_COEF, x[small])
+    out[small] = horner(_PHI2_COEF, x[small])
     xl = x[~small]
     out[~small] = (np.expm1(xl) - xl) / xl**2
     return out
@@ -219,7 +211,7 @@ def _row_contributions(radii: np.ndarray, k: int, r: float, moments: np.ndarray)
     cw = _GL6_W[:, None] * ds * s ** (k - 1)
     # the far pieces' left and right nodes together, Horner in x_j and x_{j+1}
     xs = np.stack([x[n_near:-1], x[n_near + 1 :]])
-    acc = _horner(moments[:, :, j_first + n_near :], xs)
+    acc = horner(moments[:, :, j_first + n_near :], xs)
     rk = rj[n_near:] ** k
     a = np.concatenate([(cw * (1.0 - frac)).sum(axis=0), acc[0] * rk[:-1]])
     b = np.concatenate([(cw * frac).sum(axis=0), acc[1] * rk[1:]])
@@ -313,7 +305,7 @@ def _t_tail_vector(k: int, gamma: float, radii: np.ndarray, out_r: np.ndarray) -
     series = out_r <= r_max if k % 2 == 0 else y <= _TAIL_SERIES_Y
     out = np.empty_like(y)
     c, _ = _series(k, _TAIL_SERIES_Y)
-    out[series] = 0.5 * r_max**k * _horner(c / (a + np.arange(len(c))), y[series])
+    out[series] = 0.5 * r_max**k * horner(c / (a + np.arange(len(c))), y[series])
     rest = ~series
     if np.any(rest):
         half_beta = 0.5 * sf.beta(b, a)

@@ -21,7 +21,6 @@ on a grid the caller chooses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,17 @@ import numpy as np
 
 from .errors import DivergenceError, TailDivergenceError
 from .params import sphere_area
+from .quadrature import (
+    GL_MAX,
+    LOG_EPS,
+    RATE_REACH,
+    ZERO_REACH,
+    binomial,
+    gl01,
+    gl_order,
+    graded_cuts,
+    pair_blocks,
+)
 
 __all__ = [
     "WeightedMeasure",
@@ -59,42 +69,8 @@ DEFAULT_RADIAL_NODES = 2048
 DEFAULT_FIELD_RADIUS = 60.0
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss-Legendre nodes and weights on [lo, hi], each rounded once.
-
-    numpy's leggauss leaves nodes and weights a few ulps off: mapped to
-    [0, 1], its 8- and 48-node rules read int_0^1 x^10 dx 3.2e-15 and 1.8e-14
-    off. Here its nodes take a Newton step on P_n in np.longdouble, and the
-    weights and the map to [lo, hi] are formed there too, so each value
-    rounds to float once.
-    The arrays are cached per (n, lo, hi) and read-only.
-    """
-
-    def legendre(x):  # (P_n(x), P_n'(x)) by the three-term recurrence
-        prev, cur = np.ones_like(x), x
-        for j in range(2, n + 1):
-            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
-        return cur, n * (x * cur - prev) / (x * x - 1)
-
-    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
-    pn, dpn = legendre(x)
-    x -= pn / dpn  # one step from a float start is converged in longdouble
-    _, dpn = legendre(x)
-    half = (np.longdouble(hi) - np.longdouble(lo)) / 2
-    nodes = (np.longdouble(lo) + half * (x + 1)).astype(float)
-    weights = (half * 2 / ((1 - x * x) * dpn * dpn)).astype(float)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-# Gauss-Legendre nodes/weights on [0, 1], reused by every piecewise quadrature.
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gauss_legendre(n, 0.0, 1.0)
-
-
-_GL24_X, _GL24_W = _gl01(24)
-_GL2_X, _GL2_W = _gl01(2)
+_GL24_X, _GL24_W = gl01(24)
+_GL2_X, _GL2_W = gl01(2)
 
 
 @dataclass(frozen=True)
@@ -263,77 +239,19 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"p must be positive and finite, got {p}")
 
 
-# Power sums int |v|^p e^(m u) du over pieces on which v is linear in u. The
-# n-node Gauss-Legendre rule on [-1, 1] misses an integrand analytic inside
-# the Bernstein ellipse of radius rho by O(rho^-2n) (Trefethen, "Is Gauss
-# quadrature better than Clenshaw-Curtis?", 2008), and misses e^(c x) by
-# kappa_n c^2n, kappa_n = 2^(2n+1) n!^4 / ((2n+1) (2n)!^3). A piece has two
-# such scales: the zero of v, a relative distance delta beyond the piece's
-# nearer end, whose ellipse has log rho = arccosh(1 + 2 delta); and the rate
-# c = m du / 2 of e^(m u). n nodes read a piece when both bounds sit below
-# e^-_LOG_EPS of its scale. Pieces that _GL_MAX nodes cannot read are cut
-# into panels that they can.
-_GL_MAX = 12
-_LOG_EPS = 39.0
-
-
-def _log_gauss_constant(n: int) -> float:
-    """log kappa_n: the n-node rule on [-1, 1] misses f by kappa_n f^(2n)(xi)."""
-    return (
-        (2 * n + 1) * math.log(2.0) + 4 * math.lgamma(n + 1)
-        - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
-    )
-
-
-# for n = 1 .. _GL_MAX nodes: the largest 1/delta and the largest c they
-# read, both increasing in n
-_ZERO_REACH = np.array([
-    2.0 / (math.cosh(_LOG_EPS / (2 * n)) - 1.0) for n in range(1, _GL_MAX + 1)
-])
-_RATE_REACH = np.array([
-    math.exp(-(_LOG_EPS + _log_gauss_constant(n)) / (2 * n)) for n in range(1, _GL_MAX + 1)
-])
-
-
-def _gl_order(inv_delta, rate, extra: int = 0):
-    """Fewest nodes that read pieces with 1/delta <= inv_delta and c <= rate.
-
-    extra nodes go to a polynomial factor of degree <= 2 extra, whose
-    derivatives take that many orders off the rate bound. Arrays take one
-    order per entry, _GL_MAX where no rule reads (their caller has cut such
-    panels below e^-_LOG_EPS of their segment). A scalar caller has cut its
-    pieces so that _GL_MAX nodes reach them, and one that they do not reach
-    raises ValueError.
-    """
-    n = 1 + np.maximum(_ZERO_REACH.searchsorted(inv_delta), extra + _RATE_REACH.searchsorted(rate))
-    if n.ndim:
-        return np.minimum(n, _GL_MAX)
-    if n > _GL_MAX:
-        raise ValueError(
-            f"no Gauss rule up to {_GL_MAX} nodes reads 1/delta={inv_delta}, c={rate}"
-        )
-    return int(n)
-
-
-def _graded_cuts(k: int, toward_lo: int, toward_hi: int) -> np.ndarray:
-    """Panel ends on [0, 1]: k equal panels, the first halved toward_lo times
-    toward 0 and the last toward_hi times toward 1."""
-    return np.unique(np.concatenate([
-        np.ldexp(1.0 / k, -np.arange(toward_lo, 0, -1)),
-        np.arange(k + 1) / k,
-        1.0 - np.ldexp(1.0 / k, -np.arange(1, toward_hi + 1)),
-    ]))
-
-
+# Power sums int |v|^p e^(m u) du over pieces on which v is linear in u. A
+# piece has the two scales of the order rule (quadrature.gl_order): the zero
+# of v, a relative distance delta beyond the piece's nearer end, and the rate
+# c = m du / 2 of e^(m u) over the half-width.
 def _integer_power(q: float) -> bool:
-    """Whether x^q is a polynomial that _GL_MAX nodes can carry."""
-    return float(q).is_integer() and q <= _GL_MAX
+    """Whether x^q is a polynomial that GL_MAX nodes can carry."""
+    return float(q).is_integer() and q <= GL_MAX
 
 
-# for n = 1 .. _GL_MAX: (1 - x, x) at the n Gauss nodes x on [0, 1] as an
+# for n = 1 .. GL_MAX: (1 - x, x) at the n Gauss nodes x on [0, 1] as an
 # (n, 2) array, and the weights; 1 - x is the mirrored node, rounded once
 _GL_ENDS = tuple(
-    (np.stack([x[::-1], x], axis=1), w) for x, w in map(_gl01, range(1, _GL_MAX + 1))
+    (np.stack([x[::-1], x], axis=1), w) for x, w in map(gl01, range(1, GL_MAX + 1))
 )
 
 
@@ -390,23 +308,23 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
 
     Piece i runs over u in [ua_i, ub_i], where v is linear from va_i to vb_i.
     A piece on which v changes sign is cut at its zero, placed in the piece's
-    own coordinate, into two whose zero is an end. Every piece that _GL_MAX
-    nodes reach is then read by one rule: the fewest nodes (see _gl_order)
-    for the nearest zero and the widest piece among them. Only non-integer p
-    has a zero to reach: for integer p, |v|^p on a single-signed piece is a
+    own coordinate, into two whose zero is an end. Every piece that GL_MAX
+    nodes reach is then read by one rule: the fewest nodes (see
+    quadrature.gl_order) for the nearest zero and the widest piece among
+    them. Only non-integer p has a zero to reach: for integer p, |v|^p on a single-signed piece is a
     polynomial of degree p, which ceil(p/2) more nodes read. Of the rest, a
     piece whose zero lies within its width, over which e^(m u) moves by at
     most e, is read by its series (_series_power_sum), and a flat one in
     closed form. The others share one set of panels in their own
     coordinate, from the end nearer the zero: k equal ones, no wider than
-    _GL_MAX nodes reach, the first of them halved toward that end (so each
+    GL_MAX nodes reach, the first of them halved toward that end (so each
     panel's zero lies at least its width beyond it) until what is left is
-    below e^-_LOG_EPS of the piece. They are read in one more array, at the
+    below e^-LOG_EPS of the piece. They are read in one more array, at the
     order their worst needs.
     """
     integer = _integer_power(p)
     extra = math.ceil(p / 2) if integer else 0
-    widest = 2.0 * _RATE_REACH[_GL_MAX - 1 - extra] / m
+    widest = 2.0 * RATE_REACH[GL_MAX - 1 - extra] / m
     width = ub - ua
     if np.min(va * vb, initial=0.0) < 0:
         cross = va * vb < 0
@@ -430,19 +348,19 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
             inv = np.abs(v[1] - v[0]) / np.minimum(v[0], v[1])
     inv_max = float(np.fmax.reduce(inv, initial=0.0))
     width_max = float(width.max(initial=0.0))
-    if inv_max <= _ZERO_REACH[-1] and width_max <= widest:
-        return _gauss_power_sum(_gl_order(inv_max, width_max * m / 2, extra), u, v, p, m, width)
-    far = (inv > _ZERO_REACH[-1]) | (width > widest)
+    if inv_max <= ZERO_REACH[-1] and width_max <= widest:
+        return _gauss_power_sum(gl_order(inv_max, width_max * m / 2, extra), u, v, p, m, width)
+    far = (inv > ZERO_REACH[-1]) | (width > widest)
     # the pieces within reach, the others at weight 0
     near = ~far
-    n = _gl_order(
+    n = gl_order(
         float(np.fmax.reduce(inv, where=near, initial=0.0)),
         float(width.max(where=near, initial=0.0)) * m / 2,
         extra,
     )
     total = _gauss_power_sum(n, u, v, p, m, np.where(near, width, 0.0))
     # a zero within its width, and no wider than 1/m
-    series = far & (inv > _ZERO_REACH[-1]) & (width <= 1.0 / m)
+    series = far & (inv > ZERO_REACH[-1]) & (width <= 1.0 / m)
     if np.count_nonzero(series):
         total += _series_power_sum(u[:, series], v[:, series], width[series], p, m)
         far &= ~series
@@ -456,7 +374,7 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
     u, v, width, inv = u[:, far], v[:, far], width[far], inv[far]
     # s = 0 at each piece's end nearer its zero, s = 1 at the other; the
     # halvings stop once the nearest zero is a panel's width away, or once
-    # what is left is below e^-_LOG_EPS of the piece (over the first panel,
+    # what is left is below e^-LOG_EPS of the piece (over the first panel,
     # e^(m u) moves by at most e^(m widest))
     flip = v[1] < v[0]
     u0, u1 = np.where(flip, u[::-1], u)
@@ -464,12 +382,12 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
     k = max(math.ceil(float(width.max()) / widest), 1)
     inv_max = float(np.fmax.reduce(inv, initial=0.0))
     halvings = 0
-    if inv_max > _ZERO_REACH[-1]:
+    if inv_max > ZERO_REACH[-1]:
         halvings = math.ceil(min(
             math.log2(max(inv_max / k, 1.0)),
-            (_LOG_EPS + m * widest) / ((p + 1.0) * math.log(2.0)) + 1.0,
+            (LOG_EPS + m * widest) / ((p + 1.0) * math.log(2.0)) + 1.0,
         ))
-    s = _graded_cuts(k, halvings, 0)
+    s = graded_cuts(k, halvings, 0)
     pu = np.multiply.outer(s, u1 - u0)
     pu += u0
     pv = np.multiply.outer(1.0 - s, v0)
@@ -478,9 +396,9 @@ def _pieces_power_sum(ua, ub, va, vb, p: float, m: int) -> float:
     pv = np.array([pv[:-1].ravel(), pv[1:].ravel()])
     pwidth = np.multiply.outer(np.diff(s), width).ravel()
     # after halvings a panel's zero lies at least its width away
-    n = _gl_order(
+    n = gl_order(
         1.0 if halvings else inv_max / k,
-        min(float(pwidth.max()) * m / 2, _RATE_REACH[_GL_MAX - 1 - extra]),
+        min(float(pwidth.max()) * m / 2, RATE_REACH[GL_MAX - 1 - extra]),
         extra,
     )
     return total + _gauss_power_sum(n, pu, pv, p, m, pwidth)
@@ -509,14 +427,14 @@ def _unmatched_tail_power(
 
     where w* = log(af / ag) / D is the crossing r* = r_max (af/ag)^(1/D).
     Panels run from w = 0 to w_end, where e^(-D s) = 1/4 or e^(-lam w) is
-    below e^(-2 _LOG_EPS), whichever comes first. They are a uniform cut, of
-    width h at most, that keeps the rate lam + p D within _GL_MAX nodes'
+    below e^(-2 LOG_EPS), whichever comes first. They are a uniform cut, of
+    width h at most, that keeps the rate lam + p D within GL_MAX nodes'
     reach and each panel within 1/D of the integrand's complex zeros, 2 pi
     / D off the axis. When the crossing lies within h of [0, w_end], the
-    panels are also halved toward it from either side, as in
-    _pieces_power_sum, and the nodes are placed by their offset s, so that
-    expm1 keeps its digits next to it; otherwise they are placed by w. All
-    panels are read in one array, at the order their worst needs. Past
+    panels are halved toward it from either side (quadrature.graded_cuts),
+    as in _pieces_power_sum, and the nodes are placed by their offset s, so
+    that expm1 keeps its digits next to it; otherwise they are placed by w.
+    All panels are read in one array, at the order their worst needs. Past
     e^(-D s) = 1/4, (1 - e^(-D s))^p is summed by its binomial series, term
     by term in closed form.
     """
@@ -526,9 +444,9 @@ def _unmatched_tail_power(
     w_star = math.log(af / ag) / gap
     quarter = math.log(4.0) / gap  # s where e^(-D s) = 1/4
     series_from = max(0.0, w_star + quarter)
-    w_end = min(series_from, 2.0 * _LOG_EPS / lam)
+    w_end = min(series_from, 2.0 * LOG_EPS / lam)
     rate = lam + p * gap
-    h = min(2.0 * _RATE_REACH[-1] / rate, 1.0 / gap)
+    h = min(2.0 * RATE_REACH[-1] / rate, 1.0 / gap)
     # node coordinates z = w - origin, from the crossing when it lies within
     # a panel's width of [0, w_end]
     near = -h < w_star < w_end + h
@@ -536,64 +454,28 @@ def _unmatched_tail_power(
     total = 0.0
     if w_end > 0.0:
         start, end = -origin, w_end - origin
-        cuts = [np.linspace(start, end, math.ceil((end - start) / h) + 1)]
+        # one graded run from each side of the crossing z = 0 (held to
+        # [start, end]), halved toward it when it lies near
+        halvings, mid = 0, start
         if near:
-            halvings = math.ceil((_LOG_EPS + rate * h) / ((p + 1.0) * math.log(2.0))) + 1
-            steps = h * np.ldexp(1.0, -np.arange(halvings + 1))
-            cuts += [-steps, [0.0], steps]
-        at = np.unique(np.concatenate(cuts))
-        at = at[(at >= start) & (at <= end)]
+            halvings = math.ceil((LOG_EPS + rate * h) / ((p + 1.0) * math.log(2.0))) + 1
+            mid = min(max(0.0, start), end)
+        at = np.unique(np.concatenate([
+            mid + (edge - mid) * graded_cuts(math.ceil(abs(edge - mid) / h), halvings, 0)
+            for edge in (start, end) if edge != mid
+        ]))
         za, width = at[:-1], np.diff(at)
-        x, w = _gl01(_gl_order(1.0, rate * float(width.max()) / 2))
+        x, w = gl01(gl_order(1.0, rate * float(width.max()) / 2))
         z = np.multiply.outer(x, width) + za
         with np.errstate(divide="ignore"):
             e = p * np.log(np.abs(np.expm1(-gap * (z + (origin - w_star))))) - lam * (z + origin)
         total = float(w @ np.exp(e) @ width)
     if w_end == series_from:
-        j = np.arange(2 * math.ceil(_LOG_EPS / math.log(4.0)))
-        # C(p, j) (-1)^j, by the ratio (j - 1 - p) / j
-        binom = np.cumprod(np.concatenate([[1.0], (j[1:] - 1.0 - p) / j[1:]]))
+        binom = binomial(p, 2 * math.ceil(LOG_EPS / math.log(4.0)))
+        j = np.arange(len(binom))
         s_end = quarter if w_end > 0.0 else -w_star
         total += float(np.sum(binom * np.exp(-lam * w_end - j * gap * s_end) / (lam + j * gap)))
     return r_max**m * ag**p * total
-
-
-# node evaluations of (piece, level) crossing pairs per batch; more are swept
-# in blocks of levels
-_PAIR_BLOCK = 1 << 15
-
-
-def _pair_blocks(first: np.ndarray, stop: np.ndarray, n_levels: int, per_pair: int = 1):
-    """(piece, level) index pairs of the runs first[j] .. stop[j] - 1, in blocks.
-
-    Each piece meets one contiguous run of the sorted levels, and each pair
-    costs per_pair node evaluations. Up to _PAIR_BLOCK evaluations come in
-    one batch; more come in blocks of levels that keep each batch at about
-    _PAIR_BLOCK.
-    """
-    total = int(np.maximum(stop - first, 0).sum())
-    block = max(_PAIR_BLOCK // per_pair, 1)
-    blocks = [(first, stop)]
-    if total > block:
-        live = stop > first
-        per_level = np.cumsum(
-            np.bincount(first, weights=live, minlength=n_levels + 1)
-            - np.bincount(stop, weights=live, minlength=n_levels + 1)
-        )[:n_levels]
-        edges = np.searchsorted(
-            np.cumsum(per_level), np.arange(block, total, block), side="left"
-        )
-        blocks = (
-            (np.maximum(first, b0), np.minimum(stop, b1))
-            for b0, b1 in zip(np.r_[0, edges], np.r_[edges, n_levels])
-        )
-    for start, end in blocks:
-        n = end - start
-        live = (n > 0).nonzero()[0]
-        if len(live):
-            n = n[live]
-            ends = n.cumsum()
-            yield live.repeat(n), np.arange(ends[-1]) + (start[live] - (ends - n)).repeat(n)
 
 
 class _DistributionEngine:
@@ -611,7 +493,7 @@ class _DistributionEngine:
     t > 0) are closed form. The pieces are sorted by their lower value once,
     so the full pieces of a threshold are a suffix sum found by one search.
     Against the sorted thresholds the crossings of each piece form one
-    contiguous run, swept by _pair_blocks, so a query of T thresholds on n
+    contiguous run, swept by quadrature.pair_blocks, so a query of T thresholds on n
     pieces costs
     O((n + T) log(n + T)) plus the number of (threshold, piece) crossings,
     which is O(n + T) for a monotone profile.
@@ -704,7 +586,7 @@ class _DistributionEngine:
         # sloped piece j crosses the sorted thresholds first[j] .. stop[j] - 1
         first = ts.searchsorted(self.s_lo, side="right")
         stop = ts.searchsorted(self.s_hi, side="right")
-        for j, at in _pair_blocks(first, stop, len(ts)):
+        for j, at in pair_blocks(first, stop, len(ts)):
             piece = self.sloped[j]
             grow, part = self._crossed(piece, ts[at])
             total += np.bincount(at, weights=part, minlength=len(ts))
@@ -739,7 +621,7 @@ class _DistributionEngine:
         out = np.zeros(len(lo))
         first = lo.searchsorted(self.s_lo, side="left")
         stop = hi.searchsorted(self.s_hi, side="right")
-        for j, seg in _pair_blocks(first, stop, len(lo)):
+        for j, seg in pair_blocks(first, stop, len(lo)):
             piece = self.sloped[j]
             share = (hi[seg] - lo[seg]) / self.adv[piece]
             np.minimum(share, 1.0, out=share)
@@ -1463,11 +1345,11 @@ def _lorentz_profile(
     ]
 
 
-# for n = 1 .. _GL_MAX, the n Gauss nodes and weights on [0, 1], packed one
+# for n = 1 .. GL_MAX, the n Gauss nodes and weights on [0, 1], packed one
 # rule after another; the n-node rule starts at _GL_START[n]
-_GL_START = np.array([n * (n - 1) // 2 for n in range(_GL_MAX + 1)])
+_GL_START = np.array([n * (n - 1) // 2 for n in range(GL_MAX + 1)])
 _GL_PACKED_X, _GL_PACKED_W = (
-    np.concatenate([_gl01(n)[i] for n in range(1, _GL_MAX + 1)]) for i in (0, 1)
+    np.concatenate([gl01(n)[i] for n in range(1, GL_MAX + 1)]) for i in (0, 1)
 )
 
 
@@ -1475,16 +1357,16 @@ def _segment_nodes(lo, hi, inv_zero, rate, q: float):
     """(t, weights, segment) of Gauss rules for int_lo^hi F dt on every segment.
 
     F = d^q t^(r - 1) has three scales on a segment of width w (see
-    _gl_order): the pole of t^(r - 1) and of the tail's t^(-m/gamma) at
-    t = 0, a relative distance lo/w below the segment; the zero of d, whose
+    quadrature.gl_order): the pole of t^(r - 1) and of the tail's
+    t^(-m/gamma) at t = 0, a relative distance lo/w below the segment; the zero of d, whose
     1/delta the caller gives as inv_zero (0 where d^q is entire); and the
     rate of its e^(k t) terms over a half-width, given as rate. Each
     segment is read at the fewest nodes that all three allow. Segments
-    that _GL_MAX nodes cannot reach share one set of panels in their own
-    coordinate s = (t - lo)/w: k equal ones, no wider than _GL_MAX nodes
+    that GL_MAX nodes cannot reach share one set of panels in their own
+    coordinate s = (t - lo)/w: k equal ones, no wider than GL_MAX nodes
     reach in rate; the first halved toward the pole until the last half
     lies within reach of it, and the last halved toward the zero until it
-    does too, or until what is left is below e^-_LOG_EPS of the segment
+    does too, or until what is left is below e^-LOG_EPS of the segment
     (F vanishes like (hi - t)^q there). Each panel is then read at its own
     order, on its own scales. The nodes come in two increasing runs: the
     segments, each far one by its first panel, then the other panels.
@@ -1492,19 +1374,19 @@ def _segment_nodes(lo, hi, inv_zero, rate, q: float):
     width = hi - lo
     seg = np.arange(len(lo))
     p_lo, p_hi, p_zero, p_rate = lo, hi, inv_zero, rate
-    far = (width > _ZERO_REACH[-1] * lo) | (inv_zero > _ZERO_REACH[-1]) | (rate > _RATE_REACH[-1])
+    far = (width > ZERO_REACH[-1] * lo) | (inv_zero > ZERO_REACH[-1]) | (rate > RATE_REACH[-1])
     far = np.flatnonzero(far)
     if len(far):
-        k = max(math.ceil(float(rate[far].max()) / _RATE_REACH[-1]), 1)
+        k = max(math.ceil(float(rate[far].max()) / RATE_REACH[-1]), 1)
         # log2 of w/lo in two terms: lo may be subnormal
         toward_lo = float(np.max(np.log2(width[far]) - np.log2(lo[far])))
-        toward_lo = max(math.ceil(toward_lo - math.log2(k * _ZERO_REACH[-1])), 0)
-        beyond = float(inv_zero[far].max()) / (k * _ZERO_REACH[-1])
+        toward_lo = max(math.ceil(toward_lo - math.log2(k * ZERO_REACH[-1])), 0)
+        beyond = float(inv_zero[far].max()) / (k * ZERO_REACH[-1])
         toward_hi = 0
         if beyond > 1.0:
-            cap = math.ceil((_LOG_EPS + _RATE_REACH[-1]) / ((1.0 + q) * math.log(2.0))) + 1
+            cap = math.ceil((LOG_EPS + RATE_REACH[-1]) / ((1.0 + q) * math.log(2.0))) + 1
             toward_hi = cap if beyond == math.inf else min(math.ceil(math.log2(beyond)), cap)
-        cuts = _graded_cuts(k, toward_lo, toward_hi)
+        cuts = graded_cuts(k, toward_lo, toward_hi)
         # a row of panels per far segment: the first keeps the segment's
         # place (it starts at lo), the others follow all segments
         f_lo, f_hi, f_w = lo[far, None], hi[far, None], width[far, None]
@@ -1522,7 +1404,7 @@ def _segment_nodes(lo, hi, inv_zero, rate, q: float):
         p_hi[far], p_zero[far], p_rate[far] = b[:, 0], zero[:, 0], panel_rate[:, 0]
         seg = np.concatenate([seg, np.repeat(far, len(cuts) - 2)])
     p_w = p_hi - p_lo
-    n = _gl_order(np.fmax(p_w / p_lo, p_zero), p_rate)
+    n = gl_order(np.fmax(p_w / p_lo, p_zero), p_rate)
     at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - _GL_START[n], n)
     width_at = np.repeat(p_w, n)
     t = np.repeat(p_lo, n) + width_at * _GL_PACKED_X[at]

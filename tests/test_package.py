@@ -63,3 +63,26 @@ def test_every_private_module_name_is_used():
                 if target.startswith("_") and not target.startswith("__") and target not in used
             ]
     assert dead == []
+
+
+def test_modules_share_only_these_private_names():
+    # shared numerical rules live under public names in kplane.quadrature;
+    # these four private helpers are all that a module takes from a sibling
+    import ast
+    from pathlib import Path
+
+    allowed = {
+        "_unbounded_image_warning",
+        "_profile_distribution",
+        "_rearranged_profile",
+        "_half_max_radius",
+    }
+    imported = set()
+    for path in sorted(Path(kplane.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kplane")):
+                imported.update(
+                    f"{path.stem}:{alias.name}" for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                )
+    assert sorted(name for name in imported if name.split(":")[1] not in allowed) == []

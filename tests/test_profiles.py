@@ -35,7 +35,7 @@ from kplane import (
 )
 from kplane.operators import ExtremizerSpec, extremizer_profile
 from kplane.params import i_integral
-from kplane.profiles import _gauss_legendre, _gl01
+from kplane.quadrature import gauss_legendre
 
 
 def h_profile(d, radii=None):
@@ -471,14 +471,15 @@ def test_distribution_engine_matches_dense_reference(f, data):
 
 def test_distribution_engine_sweeps_dense_queries_in_blocks():
     # a zigzag of 40 pieces crossed at 2000 thresholds has more crossing
-    # pairs than two batches of _PAIR_BLOCK hold, so the sweep splits in three
+    # pairs than two batches of PAIR_BLOCK hold, so the sweep splits in three
     from kplane import profiles
+    from kplane.quadrature import PAIR_BLOCK
 
     f = _zigzag(41, 0.1, 1.0)
     mu = lebesgue_measure(3)
     ts = np.linspace(0.11, 1.0, 2000)[::-1]
     n_pairs = 40 * len(ts)  # every piece crosses every threshold
-    assert n_pairs > 2 * profiles._PAIR_BLOCK
+    assert n_pairs > 2 * PAIR_BLOCK
     np.testing.assert_allclose(
         profiles._DistributionEngine(f, mu)(ts), dense_distribution(f, ts, mu), rtol=1e-13
     )
@@ -505,7 +506,7 @@ def _segment_query_cases():
         # levels 4 ulps apart: Gauss nodes near the lower end round onto it
         "ulp-segment": nodes([1.0, 1.0 + 4 * 2.0**-52, 0.5], 4.0),
         # about 200 levels, each crossed by about a third of 199 pieces: the
-        # (piece, node) pairs take more than one batch of _PAIR_BLOCK
+        # (piece, node) pairs take more than one batch of PAIR_BLOCK
         "many-crossings": RadialProfile(
             3, np.geomspace(0.1, 10.0, 200), rng.uniform(0.1, 1.0, 200), 3.5
         ),
@@ -535,6 +536,7 @@ def test_engine_segment_query_is_the_threshold_query(case):
     # segment, and the one query gives what queries of a few nodes at a
     # time give, bit for bit
     from kplane import profiles
+    from kplane.quadrature import PAIR_BLOCK
 
     f = _segment_query_cases()[case]
     for d in sorted({2, f.d}):
@@ -554,7 +556,7 @@ def test_engine_segment_query_is_the_threshold_query(case):
                 ts = np.sort(nodes)
                 first = ts.searchsorted(engine.s_lo, side="right")
                 stop = ts.searchsorted(engine.s_hi, side="right")
-                assert (stop - first).clip(0).sum() > profiles._PAIR_BLOCK
+                assert (stop - first).clip(0).sum() > PAIR_BLOCK
             if case == "ulp-segment":
                 assert np.any(t == lo)
 
@@ -900,7 +902,7 @@ def _lorentz_power_reference(f, p, r, mu):
 
     levels = profiles._positive_levels(f)
     engine = profiles._DistributionEngine(f, mu)
-    x, w = _gauss_legendre(64, 0.0, 1.0)
+    x, w = gauss_legendre(64, 0.0, 1.0)
     toward_hi = 1.0 - np.ldexp(1.0, -4 * np.arange(1, 11))
     below = levels[0] * np.ldexp(1.0, -4 * np.arange(16))[::-1]
     starts, ends = [], []
@@ -1057,10 +1059,11 @@ def test_lorentz_weak_norm_on_subnormal_value_changes():
         "kplane.profiles",
         "kplane.operators",
         "kplane.flow",
+        "kplane.quadrature",
         # what the benchmark's workloads import
         "kplane.flow, kplane.mc, kplane.operators, kplane.params, kplane.pointfields, kplane.profiles",
     ),
-    ids=("profiles", "operators", "flow", "workloads"),
+    ids=("profiles", "operators", "flow", "quadrature", "workloads"),
 )
 def test_import_loads_no_scipy_optimize_linalg_or_sparse(modules):
     # the functionals, T and the flow step run on numpy and scipy.special
@@ -1373,22 +1376,3 @@ def test_level_table_linear_field_every_triangle_class(grid):
     assert abs(measures[0] - coverage(levels[0])) <= slack
     assert np.all(measures <= coverage(levels / shift) + slack)
     assert np.all(measures >= coverage(levels * shift) - slack)
-
-
-@pytest.mark.parametrize("n", [8, 12, 24, 32, 48])
-def test_gauss_legendre_nodes_round_once(n):
-    # the rule's exact sums, taken in rational arithmetic on the float nodes
-    # and weights: int_0^1 x^j dx = 1/(j+1) to 2e-16 for j <= 8 and for the
-    # x^10 that numpy's 48-node leggauss read 1.8e-14 off
-    from fractions import Fraction
-
-    x, w = _gl01(n)
-    xs, ws = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in w]
-    for j in [*range(9), 10]:
-        total = sum(wi * xi**j for xi, wi in zip(xs, ws))
-        assert abs(float(total * (j + 1) - 1)) <= 2e-16, j
-    # on [-1, 1] the nodes are symmetric and the weights sum to 2
-    xm, wm = _gauss_legendre(n)
-    assert np.array_equal(xm, -xm[::-1]) and np.array_equal(wm, wm[::-1])
-    assert abs(math.fsum(wm) - 2.0) <= 4e-16
-    assert not x.flags.writeable
