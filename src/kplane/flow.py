@@ -244,8 +244,8 @@ class _LayerKernel:
                     * np.exp((s - 1.0) * la - s * lref[band][:, None])
                 )
                 w_val, w_der = self.read(la)
-                val[band] += np.sum(weight * w_val, axis=-1)
-                der[band] += np.sum(weight * w_der, axis=-1)
+                val[band] += np.einsum("ij,ij->i", weight, w_val)
+                der[band] += np.einsum("ij,ij->i", weight, w_der)
         return val, der
 
 
@@ -307,7 +307,7 @@ class _PeakKernel:
         y = mid[:, None] + half[:, None] * np.sin(theta)
         la = np.maximum((q[:, None] ** 2 - _psi(y)) / m, 1e-300)
         weight = math.pi * _GL48_W * half[:, None] * np.cos(theta) * np.exp(y / m)
-        k_val = np.sum(weight * ker.read(la)[0], axis=1)
+        k_val = np.einsum("ij,ij->i", weight, ker.read(la)[0])
         cheb = np.polynomial.chebyshev.chebfit(x, k_val / q**self.d, n - 1)
         # keep the terms above rounding, at least two (a read takes x from
         # the second row of its powers): few on the short intervals of
@@ -651,15 +651,15 @@ class _InversionLayerCake:
         ):
             w_val, w_der = ker.from_a(self.block_nodes[block] * scale[level, None])
             wt = self.block_weights[block]
-            val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
-            der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
+            val += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_val), minlength=n)
+            der += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_der), minlength=n)
         for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
             for level, pos in pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
                 piece = self.order[pos]
                 w_val, w_der = ker.from_a(self.band_root[piece] * scale[level, None])
                 wt = self.band_weight[piece]
-                val += np.bincount(level, weights=np.sum(wt * w_val, axis=1), minlength=n)
-                der += np.bincount(level, weights=np.sum(wt * w_der, axis=1), minlength=n)
+                val += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_val), minlength=n)
+                der += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_der), minlength=n)
 
     def _peaks(self, ts, lt, val, der) -> None:
         """Add the whole peaks, at the sorted levels above both ends of their piece.
@@ -742,9 +742,7 @@ class _InversionLayerCake:
         la = np.maximum(step + np.log1p(beta[:, None] * step / g_star[:, None]) / m, 1e-300)
         weight = jac * np.exp(-(u_star[:, None] + step))
         w_val, w_der = ker.read(la)
-        w_val *= weight
-        w_der *= weight
-        return w_val.sum(axis=1), w_der.sum(axis=1)
+        return np.einsum("ij,ij->i", weight, w_val), np.einsum("ij,ij->i", weight, w_der)
 
     def levels_at(self, measures: np.ndarray) -> np.ndarray:
         """The levels t with d(t) = measures, by bracketed Newton in log t.

@@ -80,7 +80,10 @@ def test_modules_share_only_these_private_names():
     imported = set()
     for path in sorted(Path(kplane.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kplane")):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("kplane")
+            )
+            if sibling:
                 imported.update(
                     f"{path.stem}:{alias.name}" for alias in node.names
                     if alias.name.startswith("_") and not alias.name.startswith("__")
