@@ -59,8 +59,8 @@ def gauss_legendre(n: int, lo: float = -1.0, hi: float = 1.0) -> tuple[np.ndarra
     return nodes, weights
 
 
-# Gauss-Legendre nodes/weights on [0, 1], reused by every piecewise quadrature.
 def gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], reused by every piecewise quadrature."""
     return gauss_legendre(n, 0.0, 1.0)
 
 
@@ -182,9 +182,9 @@ def horner(coef, x: np.ndarray) -> np.ndarray:
 def binomial(a: float, n: int) -> np.ndarray:
     """The first n coefficients c_j = C(a, j) (-1)^j of (1 - x)^a = sum_j c_j x^j.
 
-    By c_0 = 1, c_j = c_(j-1) (j - 1 - a) / j: each step rounds twice and the
-    subtraction once, so c_j is within about 3 j ulps of its value. For an
-    integer a >= 0 the coefficients past j = a are exactly 0.
+    By c_0 = 1, c_j = c_(j-1) (j - 1 - a) / j: each step rounds three times
+    (difference, product, quotient), so c_j is within 1.5 j eps of its value,
+    relative. For an integer a >= 0 the coefficients past j = a are exactly 0.
     """
     c = [1.0]
     for j in range(1, n):
