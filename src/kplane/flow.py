@@ -97,14 +97,11 @@ _PEAK_FIT_NODES = 20
 # the kernel is fitted up to the least _PEAK_LOG_RISE 4^-j at or above the
 # engine's largest rise, j <= _PEAK_BUCKETS, once per process (_peak_kernel)
 _PEAK_BUCKETS = 20
-# (peak, level) entries of one dense tile of the peak read: its power matrix,
-# one row per coefficient, stays in cache
-_PEAK_TILE = 8192
 # sub-piece end levels at which d is tabulated to start the inversion
 _TABLE_LEVELS = 256
-# even d: band pieces adjacent in lo order, read together on one Chebyshev
-# rule in phi^(1/m) when they sit far enough above A = 1 (see _band)
-_BAND_BLOCK = 32
+# band pieces by lo and peaks by log phi_c, in blocks adjacent in that order,
+# each read on one Chebyshev rule far from the kernel's singular point
+_BLOCK = 32
 _BLOCK_NODES = 12
 _BLOCK_APART = 2.0
 
@@ -379,6 +376,41 @@ def _log_power_integral(s: float, llo, lhi, lref) -> np.ndarray:
     return antider(lhi) - antider(llo)
 
 
+def _block_rules(atoms, weights, lo, hi):
+    """Chebyshev rules of blocks of weighted atoms, block b in [lo_b, hi_b].
+
+    The _BLOCK_NODES Chebyshev points as offsets from lo_b; weights that
+    integrate their interpolant of any function against the atoms (an atom
+    on a node gives it its whole weight); and floor_b, at or below which a
+    singular point lies _BLOCK_APART widths below blocks b, b + 1, ...
+    """
+    width = np.maximum(hi - lo, 1e-15 * np.abs(lo) + 1e-300)
+    cheb = np.cos(math.pi * (np.arange(_BLOCK_NODES) + 0.5) / _BLOCK_NODES)
+    bary = (-1.0) ** np.arange(_BLOCK_NODES) * np.sqrt(1.0 - cheb**2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        quot = bary / ((2.0 * (atoms - lo[:, None]) / width[:, None] - 1.0)[:, :, None] - cheb)
+        basis = quot / quot.sum(axis=2, keepdims=True)
+    on_node = np.isinf(quot)
+    basis = np.where(on_node.any(axis=2, keepdims=True), on_node, basis)
+    floor = np.minimum.accumulate((lo - _BLOCK_APART * width)[::-1])[::-1]
+    return 0.5 * width[:, None] * (cheb + 1.0), np.einsum("ba,bak->bk", weights, basis), floor
+
+
+def _add_reads(level, weight, w_val, w_der, val, der) -> None:
+    """Add each row's weighted (value, slope) reads to its level."""
+    val += np.bincount(level, weights=np.einsum("ij,ij->i", weight, w_val), minlength=len(val))
+    der += np.bincount(level, weights=np.einsum("ij,ij->i", weight, w_der), minlength=len(val))
+
+
+def _read_blocks(first, stop, weights, read, val, der) -> None:
+    """Add blocks first .. stop - 1 of each level on their rules; read(level,
+    block) gives the kernel's (value, slope) at those blocks' nodes."""
+    use = first < stop
+    pairs = pair_blocks(np.where(use, first, 0), np.where(use, stop, 0), len(weights), _BLOCK_NODES)
+    for level, block in pairs:
+        _add_reads(level, weights[block], *read(level, block), val, der)
+
+
 def _bracket_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Midpoints of log-level brackets; a one-sided bracket steps 2 past its end."""
     return np.where(np.isinf(lo), hi - 2.0, np.where(np.isinf(hi), lo + 2.0, 0.5 * (lo + hi)))
@@ -396,12 +428,12 @@ class _InversionLayerCake:
     per-piece moments int phi^(j/m) e^-u du, summed once over the sub-pieces
     sorted by their lower phi value (even d: only where A >= _A_SPLIT; the
     band between is integrated per (level, sub-piece) on one 8-node graded
-    rule, or per block of sub-pieces far from A = 1). A piece with an
-    interior maximum, at levels above both its ends, enters through the
-    one-variable _PeakKernel instead of two crossings; those peaks are read
-    in dense (peak, level) tiles, one power-matrix product each, and the
-    kernel is fitted once per (d, m, rise bucket). The constant head and the
-    power tail are closed form.
+    rule). A piece with an interior maximum, at levels above both its ends,
+    enters through the one-variable _PeakKernel, fitted once per (d, m, rise
+    bucket), instead of two crossings. The band and the peaks read blocks of
+    sources adjacent in sort order on one Chebyshev rule each where the
+    kernel's singular point (A = 1, L = 0) lies far off (_block_rules), and
+    their other pairs one by one. The head and the power tail are closed form.
     d'(t) = -(2 |S^{d-2}| / (m t)) int W'(A) A over the same set, since
     W(1) = 0 drops the boundary term.
     """
@@ -438,16 +470,19 @@ class _InversionLayerCake:
         cap = np.full(len(ua), np.inf)
         cap[: len(split)][split] = np.where(kernel_read, np.exp(log_end), np.inf)
         cap[len(split) :] = cap[: len(split)][split]
-        self.peak_weight = np.exp(-uc[split][kernel_read])
-        self.peak_log = log_peak[kernel_read]
-        self.peak_top = np.exp(log_peak[kernel_read])
-        self.peak_end = np.exp(log_end[kernel_read])
-        self.peak_kernel = (
-            _peak_kernel(
-                g.d, m, _rise_bucket(float(np.max(log_peak - log_end, where=kernel_read, initial=0.0)))
-            )
-            if np.any(kernel_read) else None
+        # the peaks by log phi_c, in blocks on Chebyshev rules in log phi_c; a
+        # block is read only above every end in it and before it (prefix max)
+        by_log = np.flatnonzero(kernel_read)[np.argsort(log_peak[kernel_read], kind="stable")]
+        self.peak_weight, self.peak_log = np.exp(-uc[split][by_log]), log_peak[by_log]
+        self.peak_top, self.peak_end = np.exp(self.peak_log), np.exp(log_end[by_log])
+        cut = len(by_log) // _BLOCK * _BLOCK
+        a = self.peak_log[:cut].reshape(-1, _BLOCK)
+        self.peak_offsets, self.peak_block_weights, self.peak_floor = _block_rules(
+            a, self.peak_weight[:cut].reshape(-1, _BLOCK), a[:, 0], a[:, -1]
         )
+        self.peak_block_end = np.maximum.accumulate(self.peak_end[:cut].reshape(-1, _BLOCK).max(1))
+        rise = float(np.max(log_peak - log_end, where=kernel_read, initial=0.0))
+        self.peak_kernel = _peak_kernel(g.d, m, _rise_bucket(rise)) if np.any(kernel_read) else None
         live = np.maximum(lpa, lpb) > -np.inf
         ua, ub, ga, gb, beta, lpa, lpb, peaked, cap = (
             x[live] for x in (ua, ub, ga, gb, beta, lpa, lpb, peaked, cap)
@@ -510,31 +545,16 @@ class _InversionLayerCake:
             with np.errstate(divide="ignore"):
                 self.band_root = np.exp(uu + np.log(g_low + beta[:, None] * step) / m)
             self.band_weight = np.abs(span) * (2.0 * _GL8_X * _GL8_W) * np.exp(-uu)
-            # blocks of _BAND_BLOCK pieces adjacent in lo order: the weights of
-            # _BLOCK_NODES Chebyshev points in xi = phi^(1/m) integrate the
-            # interpolant of any function of xi exactly against the pieces'
-            # 8-node rules. A level reads a block through them when the block
-            # lies _BLOCK_APART of its widths above xi = t^(1/m), A = 1, where
-            # interpolating W(xi t^(-1/m)) errs below 1e-12
-            n_blocks = len(order) // _BAND_BLOCK
-            block = order[: n_blocks * _BAND_BLOCK].reshape(n_blocks, _BAND_BLOCK)
+            # blocks in lo order, on rules in xi = phi^(1/m): _BLOCK_APART widths
+            # above xi = t^(1/m), A = 1, they read W(xi t^(-1/m)) within 1e-12
+            block = order[: len(order) // _BLOCK * _BLOCK].reshape(-1, _BLOCK)
             xi_lo = self.lo[block[:, 0]] ** (1.0 / m)
-            width = np.maximum(self.hi[block].max(axis=1) ** (1.0 / m) - xi_lo, 1e-15 * xi_lo)
-            cheb = np.cos(math.pi * (np.arange(_BLOCK_NODES) + 0.5) / _BLOCK_NODES)
-            bary = (-1.0) ** np.arange(_BLOCK_NODES) * np.sqrt(1.0 - cheb**2)
-            atoms = self.band_root[block].reshape(n_blocks, 8 * _BAND_BLOCK)
-            atoms = 2.0 * (atoms - xi_lo[:, None]) / width[:, None] - 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                basis = bary / (atoms[:, :, None] - cheb)
-                basis /= basis.sum(axis=2, keepdims=True)
-            self.block_nodes = xi_lo[:, None] + 0.5 * width[:, None] * (cheb + 1.0)
-            self.block_weights = np.einsum(
-                "ba,bak->bk",
-                self.band_weight[block].reshape(n_blocks, 8 * _BAND_BLOCK),
-                np.nan_to_num(basis),
+            offsets, self.block_weights, self.block_floor = _block_rules(
+                self.band_root[block].reshape(-1, 8 * _BLOCK),
+                self.band_weight[block].reshape(-1, 8 * _BLOCK),
+                xi_lo, self.hi[block].max(axis=1) ** (1.0 / m),
             )
-            key = xi_lo - _BLOCK_APART * width
-            self.block_floor = np.minimum.accumulate(key[::-1])[::-1]
+            self.block_nodes = xi_lo[:, None] + offsets
 
         # head (constant v_0 below r_0) and tail (v_N (r_N/r)^gamma beyond r_N)
         self.r0, self.rn = float(g.radii[0]), float(g.radii[-1])
@@ -587,9 +607,7 @@ class _InversionLayerCake:
             ts.searchsorted(self.hi, side="left"), ts.searchsorted(self.cap, side="right")
         )
         for piece, level in pair_blocks(first, stop, n, per_pair=len(_GL8_X)):
-            v_add, d_add = self._crossed(piece, ts[level], lt[level])
-            val += np.bincount(level, weights=v_add, minlength=n)
-            der += np.bincount(level, weights=d_add, minlength=n)
+            _add_reads(level, *self._crossed(piece, ts[level], lt[level]), val, der)
         if self.peak_kernel is not None:
             self._peaks(ts, lt, val, der)
         if not ker.odd:
@@ -631,74 +649,58 @@ class _InversionLayerCake:
         """Add the whole sub-pieces with t <= lo < 4^m t (even d) to val, der.
 
         Sorted by lo they are positions start .. stop - 1 of each level. The
-        blocks that lie far enough above A = 1 from some block on are read
-        through their Chebyshev rules; the rest piece by piece, on their 8
-        graded nodes.
+        blocks far enough above A = 1 from some block on are read on their
+        rules (_read_blocks), the pieces before and after them on 8 graded nodes.
         """
-        ker, m, n = self.kernel, self.m, len(ts)
+        ker, m = self.kernel, self.m
         scale = np.exp(-lt / m)
         start = self.lo_sorted.searchsorted(ts, side="left")
         first_block = np.maximum(
-            -(-start // _BAND_BLOCK), self.block_floor.searchsorted(1.0 / scale, side="left")
+            -(-start // _BLOCK), self.block_floor.searchsorted(1.0 / scale, side="left")
         )
-        stop_block = stop // _BAND_BLOCK
+        stop_block = stop // _BLOCK
         use = first_block < stop_block
-        cut_lo = np.where(use, first_block * _BAND_BLOCK, stop)
-        cut_hi = np.where(use, stop_block * _BAND_BLOCK, stop)
-        for level, block in pair_blocks(
-            np.where(use, first_block, 0), np.where(use, stop_block, 0), len(self.block_floor),
-            per_pair=_BLOCK_NODES,
-        ):
-            w_val, w_der = ker.from_a(self.block_nodes[block] * scale[level, None])
-            wt = self.block_weights[block]
-            val += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_val), minlength=n)
-            der += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_der), minlength=n)
+
+        def read(level, block):
+            return ker.from_a(self.block_nodes[block] * scale[level, None])
+        _read_blocks(first_block, stop_block, self.block_weights, read, val, der)
+        cut_lo = np.where(use, first_block * _BLOCK, stop)
+        cut_hi = np.where(use, stop_block * _BLOCK, stop)
         for lo_pos, hi_pos in ((start, cut_lo), (cut_hi, stop)):
             for level, pos in pair_blocks(lo_pos, hi_pos, len(self.order), per_pair=len(_GL8_X)):
                 piece = self.order[pos]
                 w_val, w_der = ker.from_a(self.band_root[piece] * scale[level, None])
-                wt = self.band_weight[piece]
-                val += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_val), minlength=n)
-                der += np.bincount(level, weights=np.einsum("ij,ij->i", wt, w_der), minlength=n)
+                _add_reads(level, self.band_weight[piece], w_val, w_der, val, der)
 
     def _peaks(self, ts, lt, val, der) -> None:
         """Add the whole peaks, at the sorted levels above both ends of their piece.
 
-        Peaks ordered by their first level are read in dense tiles: a run of
-        peaks times the run of levels any of them sees, at most _PEAK_TILE
-        entries. Entries outside a peak's window (t <= end or t >= top) read
-        the kernel at L = 0, which adds nothing. One product of e^(-u_c) with
-        the tile's (K/m, K') adds the tile to every level it covers.
+        Peak i is live at levels first_i .. stop_i - 1. Each level reads a run
+        of blocks (_read_blocks) at L = (a0 - lt) + offset, a0 the block's
+        first log phi_c, so L rounds relative to itself. The levels that read a
+        peak's block are one run inside its own; the others read it alone.
         """
+        n, kernel = len(ts), self.peak_kernel
         first = ts.searchsorted(self.peak_end, side="right")
         stop = ts.searchsorted(self.peak_top, side="left")
-        live = (stop > first).nonzero()[0]
-        live = live[first[live].argsort(kind="stable")]
-        first, stop = first[live], stop[live]
-        log_c, weight = self.peak_log[live, None], self.peak_weight[live]
-        end, top = self.peak_end[live, None], self.peak_top[live, None]
-        a = 0
-        while a < len(live):
-            lo = int(first[a])
-            span = np.maximum.accumulate(stop[a : a + _PEAK_TILE]) - lo
-            size = span * np.arange(1, len(span) + 1)
-            b = a + max(int(size.searchsorted(_PEAK_TILE, side="right")), 1)
-            hi = lo + int(span[b - a - 1])
-            # a single peak may see more levels than a tile holds
-            step = _PEAK_TILE // (b - a)
-            for l0 in range(lo, hi, step):
-                l1 = min(l0 + step, hi)
-                t = ts[None, l0:l1]
-                lam = log_c[a:b] - lt[None, l0:l1]
-                np.maximum(lam, 0.0, out=lam)
-                lam *= (t > end[a:b]) & (t < top[a:b])
-                add = weight[a:b] @ self.peak_kernel(lam)
-                val[l0:l1] += add[0]
-                der[l0:l1] += add[1]
-            a = b
+
+        def read(level, block):
+            a0 = self.peak_log[block * _BLOCK]
+            return kernel((a0 - lt[level])[:, None] + self.peak_offsets[block])
+        first_block = self.peak_floor.searchsorted(lt, side="left")
+        stop_block = self.peak_block_end.searchsorted(ts, side="left")
+        _read_blocks(first_block, stop_block, self.peak_block_weights, read, val, der)
+        # the levels that read each peak's block (none past the last block)
+        own = np.minimum(np.arange(len(first)) // _BLOCK, len(self.peak_floor))
+        cut_lo = np.minimum(np.append(ts.searchsorted(self.peak_block_end, "right"), n)[own], stop)
+        cut_hi = np.minimum(np.append(lt.searchsorted(self.peak_floor, "right"), 0)[own], stop)
+        for lo_lev, hi_lev in ((first, cut_lo), (np.maximum(cut_lo, cut_hi), stop)):
+            for peak, level in pair_blocks(lo_lev, hi_lev, n):
+                lam = np.maximum(self.peak_log[peak] - lt[level], 0.0)[:, None]
+                _add_reads(level, self.peak_weight[peak, None], *kernel(lam), val, der)
 
     def _crossed(self, piece, t, lt):
-        """Contributions of sub-pieces crossing their levels: (W, W'A) integrals."""
+        """Weights and (W, W'A) reads of the parts of crossing sub-pieces above t."""
         ker, m = self.kernel, self.m
         ua, du, ga, gb, beta = (
             x[piece] for x in (self.ua, self.du, self.ga, self.gb, self.beta)
@@ -740,9 +742,7 @@ class _InversionLayerCake:
         else:
             step, jac = span * _GL8_X**2, 2.0 * np.abs(span) * _GL8_X * _GL8_W
         la = np.maximum(step + np.log1p(beta[:, None] * step / g_star[:, None]) / m, 1e-300)
-        weight = jac * np.exp(-(u_star[:, None] + step))
-        w_val, w_der = ker.read(la)
-        return np.einsum("ij,ij->i", weight, w_val), np.einsum("ij,ij->i", weight, w_der)
+        return (jac * np.exp(-(u_star[:, None] + step)), *ker.read(la))
 
     def levels_at(self, measures: np.ndarray) -> np.ndarray:
         """The levels t with d(t) = measures, by bracketed Newton in log t.

@@ -28,9 +28,9 @@ from .profiles import (
     AxiSymField,
     RadialProfile,
     WeightedMeasure,
-    _profile_distribution,
     _rearranged_profile,
     default_radial_grid,
+    distribution_at,
     field_from_function,
     lp_norm,
     radial_measure,
@@ -484,7 +484,7 @@ def concentration_rescale(f: RadialProfile, params: TransformParams) -> Concentr
     f1 = f.scaled(1.0 / nrm)
     levels = np.unique(f1.values)
     levels = levels[levels > 0]
-    dist = _profile_distribution(f1, levels, mu)
+    dist = distribution_at(f1, levels, mu)
     weak_by_level = levels * dist ** (1.0 / p)
     pick = int(np.argmax(weak_by_level))
     s0 = float(levels[pick])

@@ -181,13 +181,12 @@ def _peak_read_exact(layer, t, lt):
     return val, der, int(inside.sum())
 
 
-@pytest.mark.parametrize("case", ("h13", "h12", "h24", "step-start"))
-def test_peak_read_matches_the_per_pair_formula(case):
-    # the layer cake reads the (peak, level) pairs in dense tiles, one power
-    # matrix and one product with e^(-u_c) each. Against the exact sum of
-    # the pair formula at 48 seeded levels, val and der read at most 2.9 and
-    # 3.6 ulps. The bound separates it from a pair-by-pair sum in peak order,
-    # which reads 7.3-10.3 ulps at the worst level of each case
+PEAK_CASES = ("h13", "h12", "h24", "step-start")
+
+
+def _peak_case(case):
+    """The layer cake of a peak-read case on 2048 nodes, two levels inside every
+    peak's window (sorted, as the layer cake sorts them) and their logs."""
     from kplane.flow import _InversionLayerCake
 
     r = default_radial_grid(2048)
@@ -198,22 +197,93 @@ def test_peak_read_matches_the_per_pair_formula(case):
     else:
         g = extremizer_profile(ExtremizerSpec(pr), radii=r)
     layer = _InversionLayerCake(g, k + 1)
-    # two levels inside every peak's window, sorted as the layer cake sorts them
     ts = np.sort(np.concatenate([
         layer.peak_end + x * (layer.peak_top - layer.peak_end) for x in (0.3, 0.8)
     ]))
-    lt = np.log(ts)
+    return layer, ts, np.log(ts)
+
+
+@pytest.mark.parametrize("case", PEAK_CASES)
+def test_peak_read_matches_the_per_pair_formula(case):
+    # the layer cake reads runs of peak blocks through their Chebyshev rules
+    # in log phi_c and the other live (peak, level) pairs one by one. Against
+    # the exact sum of the pair formula at 48 seeded levels, val and der read
+    # at most 1.3 and 2.7 ulps (dense tiles of every pair read 2.9 and 3.6;
+    # block nodes formed as c_k - lt rather than (a0 - lt) + offset read 575
+    # on the step start). The bound separates it from a pair-by-pair sum in
+    # peak order, which reads 7.3-10.3 ulps at the worst level of each case.
+    # The blocks carry 79-81% of the live pairs at these levels
+    from kplane.flow import _BLOCK
+
+    layer, ts, lt = _peak_case(case)
     val, der = np.zeros(len(ts)), np.zeros(len(ts))
     layer._peaks(ts, lt, val, der)
     ulp = np.finfo(float).eps
-    n_pairs = 0
+    n_pairs = n_block = 0
     for i in np.random.default_rng(17).choice(len(ts), 48, replace=False):
         want_val, want_der, n = _peak_read_exact(layer, ts[i], lt[i])
         n_pairs += n
+        n_block += _BLOCK * int(
+            np.sum((lt[i] <= layer.peak_floor) & (ts[i] > layer.peak_block_end))
+        )
         assert want_val > 0 and want_der > 0
         assert abs(Fraction(float(val[i])) - want_val) <= 6 * ulp * want_val
         assert abs(Fraction(float(der[i])) - want_der) <= 6 * ulp * want_der
     assert n_pairs > 48 * 100
+    assert 2 * n_block >= n_pairs
+
+
+@pytest.mark.parametrize("case", PEAK_CASES)
+def test_peak_read_counts_every_live_pair_once(case):
+    # every level of the cases above against the dense float sum of each
+    # live pair's kernel read times e^(-u_c). A pair that the split between
+    # blocks and pairs misses or reads twice moves its level by its share of
+    # the sum, which is above 4.5e-12 for every live pair here and above
+    # 3.5e-6 at the median level; the reads agree within 6.7e-16 relative
+    layer, ts, lt = _peak_case(case)
+    val, der = np.zeros(len(ts)), np.zeros(len(ts))
+    layer._peaks(ts, lt, val, der)
+    live = (ts[:, None] > layer.peak_end) & (ts[:, None] < layer.peak_top)
+    lam = np.where(live, np.maximum(layer.peak_log - lt[:, None], 0.0), 0.0)
+    k_val, k_der = layer.peak_kernel(lam)
+    assert np.max(np.abs(val / (k_val @ layer.peak_weight) - 1.0)) <= 2e-15
+    assert np.max(np.abs(der / (k_der @ layer.peak_weight) - 1.0)) <= 2e-15
+
+
+def test_block_rules_integrate_polynomials_and_keep_atoms_on_nodes():
+    # two blocks of 40 seeded atoms with positive weights, plus the four
+    # Chebyshev nodes at or below -0.5 of [-1, 1] as atoms of the first
+    # block, where x = 2 (atom + 1)/2 - 1 is exact. Their weights integrate
+    # T_j, j < 12, in the block's own variable as the atoms do, within 1e-15
+    # of the total weight; an atom on a node gives that node its whole weight
+    # (a basis formed as inf/inf and zeroed dropped it, 2% of the total)
+    from kplane.flow import _BLOCK_APART, _BLOCK_NODES, _block_rules
+
+    rng = np.random.default_rng(23)
+    cheb = np.cos(np.pi * (np.arange(_BLOCK_NODES) + 0.5) / _BLOCK_NODES)
+    lo, hi = np.array([-1.0, 3.0]), np.array([1.0, 3.5])
+    atoms = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(2, 44))
+    atoms[0, 40:] = cheb[cheb <= -0.5]
+    assert np.array_equal(2.0 * (atoms[0, 40:] + 1.0) / 2.0 - 1.0, cheb[cheb <= -0.5])
+    weights = rng.uniform(0.5, 1.5, size=(2, 44))
+    offsets, rule, floor = _block_rules(atoms, weights, lo, hi)
+    nodes = lo[:, None] + offsets
+    want_nodes = lo[:, None] + 0.5 * (hi - lo)[:, None] * (cheb + 1.0)
+    assert np.allclose(nodes, want_nodes, rtol=0, atol=1e-15)
+    assert np.array_equal(floor, np.minimum.accumulate((lo - _BLOCK_APART * (hi - lo))[::-1])[::-1])
+    for b in range(2):
+        x_atoms = 2.0 * (atoms[b] - lo[b]) / (hi[b] - lo[b]) - 1.0
+        x_nodes = 2.0 * offsets[b] / (hi[b] - lo[b]) - 1.0
+        for j in range(_BLOCK_NODES):
+            t_j = np.polynomial.chebyshev.Chebyshev.basis(j)
+            want = weights[b] @ t_j(x_atoms)
+            assert abs(rule[b] @ t_j(x_nodes) - want) <= 1e-14 * weights[b].sum(), (b, j)
+    # the on-node atoms alone
+    only = np.zeros_like(weights)
+    only[0, 40:] = weights[0, 40:]
+    _, rule, _ = _block_rules(atoms, only, lo, hi)
+    on_node = only[0] @ (atoms[0][:, None] == cheb)
+    assert np.array_equal(rule[0], np.where(cheb <= -0.5, on_node, 0.0))
 
 
 @pytest.mark.parametrize("kd", ((1, 3), (1, 2), (2, 4)), ids=("13", "12", "24"))

@@ -67,13 +67,12 @@ def test_every_private_module_name_is_used():
 
 def test_modules_share_only_these_private_names():
     # shared numerical rules live under public names in kplane.quadrature;
-    # these four private helpers are all that a module takes from a sibling
+    # these three private helpers are all that a module takes from a sibling
     import ast
     from pathlib import Path
 
     allowed = {
         "_unbounded_image_warning",
-        "_profile_distribution",
         "_rearranged_profile",
         "_half_max_radius",
     }
