@@ -403,8 +403,8 @@ def _add_reads(level, weight, w_val, w_der, val, der) -> None:
 
 
 def _read_blocks(first, stop, weights, read, val, der) -> None:
-    """Add blocks first .. stop - 1 of each level on their rules; read(level,
-    block) gives the kernel's (value, slope) at those blocks' nodes."""
+    """Add blocks first .. stop - 1 of each level on their rules, with
+    read(level, block) the kernel's (value, slope) at those blocks' nodes."""
     use = first < stop
     pairs = pair_blocks(np.where(use, first, 0), np.where(use, stop, 0), len(weights), _BLOCK_NODES)
     for level, block in pairs:

@@ -266,8 +266,9 @@ def test_block_rules_integrate_polynomials_and_keep_atoms_on_nodes():
     # two blocks of 40 seeded atoms with positive weights, plus the four
     # Chebyshev nodes at or below -0.5 of [-1, 1] as atoms of the first
     # block, where x = 2 (atom + 1)/2 - 1 is exact. Their weights integrate
-    # T_j, j < 12, in the block's own variable as the atoms do, within 1e-15
-    # of the total weight; an atom on a node gives that node its whole weight
+    # T_j, j < 12, in the block's own variable as the atoms do, within 1e-14
+    # of the total weight (they read 1.0e-15); an atom on a node gives that
+    # node its whole weight
     # (a basis formed as inf/inf and zeroed dropped it, 2% of the total)
     from kplane.flow import _BLOCK_APART, _BLOCK_NODES, _block_rules
 
